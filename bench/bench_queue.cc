@@ -3,18 +3,17 @@
 // page size and shows why punctuation must flush pages (a punctuation
 // stuck behind an unfilled page stalls downstream progress).
 //
-// It also A/Bs the two DataQueue transports — the mutex deque against
-// the lock-free SPSC page ring — in an uncontended single-thread mode
-// and a 2-thread producer/consumer mode. NOTE on the 2-thread rows:
-// like the sharded-join numbers, they depend on how many CPUs the
-// host exposes (on a 1-core box they measure scheduler churn, not
-// parallel transfer), so queue.online_cpus is recorded next to every
-// queue metric batch for cross-box comparability.
+// It also measures the queue's transfer cost alone (tuple- and
+// page-granular), the purge sweep feedback exploiters pay, and the
+// arena memory model's build-transfer-consume cycle. queue.online_cpus
+// is recorded next to every queue metric batch for cross-box
+// comparability.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <thread>
+#include <vector>
 
 #include "bench_json.h"
 #include "stream/data_queue.h"
@@ -28,22 +27,8 @@ Tuple MakeTuple(int64_t i) {
   return TupleBuilder().I64(i).D(static_cast<double>(i)).Build();
 }
 
-DataQueueOptions TransportOptions(DataQueueTransport transport,
-                                  int page_size, int batch) {
-  DataQueueOptions opts;
-  opts.page_size = page_size;
-  opts.max_pages = 0;
-  opts.transport = transport;
-  // Uncontended mode pushes the whole batch before popping, so the
-  // ring must hold every page the batch produces (plus the EOS page).
-  // Sized exactly: an oversized ring would charge its construction to
-  // the measured loop.
-  opts.spsc_default_capacity = batch / page_size + 2;
-  return opts;
-}
-
-// Push `batch` tuples + EOS, then drain — the uncontended shape, where
-// the delta between transports is pure per-push/per-pop overhead.
+// Push `batch` tuples + EOS, then drain — the uncontended shape:
+// queue construction plus per-push/per-pop overhead.
 void PushPopOnce(DataQueueOptions opts, int batch) {
   DataQueue q(opts);
   for (int i = 0; i < batch; ++i) q.PushTuple(MakeTuple(i));
@@ -56,8 +41,7 @@ void PushPopOnce(DataQueueOptions opts, int batch) {
 // Transfer-only modes: the payload is built once and recycled from
 // the popped pages back into the push slots, so the measured cost is
 // queue overhead alone (no per-iteration tuple construction, no
-// allocator traffic once warm). These are the apples-to-apples
-// transport comparisons; the legacy pushpop rows keep their
+// allocator traffic once warm). The pushpop rows keep their
 // construction-included methodology so the cross-PR trajectory in
 // BENCH_hotpath.json stays comparable.
 //
@@ -71,8 +55,8 @@ class TupleTransferBench {
   }
 
   /// `reps` push-all/pop-all rounds against one queue, so the queue's
-  /// construction (ring slot vector, deque map) amortizes away and the
-  /// steady-state transfer cost is what's measured.
+  /// construction (chain segments) amortizes away and the steady-state
+  /// transfer cost is what's measured.
   void Run(const DataQueueOptions& opts, int reps) {
     DataQueue q(opts);
     for (int r = 0; r < reps; ++r) {
@@ -96,9 +80,8 @@ class TupleTransferBench {
 
 // Page granularity: whole pre-assembled pages via PushPage — how
 // Exchange, ShardMerge, and the join's result stream actually feed
-// queues since PR 2. The transport (one queue transition per page) is
-// the dominant term here, so this row is where the SPSC-vs-mutex
-// delta shows undiluted.
+// queues. The chain hop (one queue transition per page) is the
+// dominant term here.
 class PageTransferBench {
  public:
   PageTransferBench(int batch, int page_size) {
@@ -113,9 +96,8 @@ class PageTransferBench {
   }
 
   /// Same amortization story as TupleTransferBench::Run. The queue is
-  /// caller-owned so its construction (ring slots, deque map,
-  /// condvars) stays outside the timed region entirely — a queue with
-  /// no EOS pushed is reusable indefinitely.
+  /// caller-owned so its construction stays outside the timed region
+  /// entirely — a queue with no EOS pushed is reusable indefinitely.
   void Run(DataQueue* q, int reps) {
     for (int r = 0; r < reps; ++r) {
       for (Page& p : pages_) q->PushPage(std::move(p));
@@ -131,33 +113,11 @@ class PageTransferBench {
   std::vector<Page> pages_;
 };
 
-// Concurrent producer/consumer across two threads with a bounded
-// queue (backpressure active) — the threaded executor's shape.
-void PushPop2ThreadOnce(DataQueueTransport transport, int page_size,
-                        int batch) {
-  DataQueueOptions opts;
-  opts.page_size = page_size;
-  opts.max_pages = 64;
-  opts.transport = transport;
-  DataQueue q(opts);
-  std::thread producer([&] {
-    for (int i = 0; i < batch; ++i) q.PushTuple(MakeTuple(i));
-    q.PushEos();
-  });
-  size_t popped = 0;
-  while (auto page = q.PopPageBlocking(nullptr)) popped += page->size();
-  producer.join();
-  benchmark::DoNotOptimize(popped);
-}
-
 void BM_QueuePushPop_PageSize(benchmark::State& state) {
   const int page_size = static_cast<int>(state.range(0));
   const int kBatch = 4096;
   for (auto _ : state) {
-    PushPopOnce(
-        TransportOptions(DataQueueTransport::kMutexDeque, page_size,
-                         kBatch),
-        kBatch);
+    PushPopOnce(DataQueueOptions{.page_size = page_size}, kBatch);
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
@@ -169,43 +129,6 @@ BENCHMARK(BM_QueuePushPop_PageSize)
     ->Arg(512)
     ->Arg(2048);
 
-void BM_QueuePushPop_SpscRing(benchmark::State& state) {
-  const int page_size = static_cast<int>(state.range(0));
-  const int kBatch = 4096;
-  for (auto _ : state) {
-    PushPopOnce(
-        TransportOptions(DataQueueTransport::kSpscRing, page_size,
-                         kBatch),
-        kBatch);
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch);
-}
-BENCHMARK(BM_QueuePushPop_SpscRing)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(32)
-    ->Arg(128)
-    ->Arg(512)
-    ->Arg(2048);
-
-void BM_QueuePushPop_2Thread(benchmark::State& state) {
-  // range(0): 0 = mutex deque, 1 = SPSC ring; range(1): page size.
-  const DataQueueTransport transport =
-      state.range(0) == 0 ? DataQueueTransport::kMutexDeque
-                          : DataQueueTransport::kSpscRing;
-  const int page_size = static_cast<int>(state.range(1));
-  const int kBatch = 4096;
-  for (auto _ : state) {
-    PushPop2ThreadOnce(transport, page_size, kBatch);
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch);
-}
-BENCHMARK(BM_QueuePushPop_2Thread)
-    ->Args({0, 128})
-    ->Args({1, 128})
-    ->Args({0, 512})
-    ->Args({1, 512});
-
 void BM_QueuePunctuationFlushRate(benchmark::State& state) {
   // Punctuation every `k` tuples: more punctuation = more (smaller)
   // pages = more queue transitions. Quantifies the batching loss that
@@ -214,7 +137,7 @@ void BM_QueuePunctuationFlushRate(benchmark::State& state) {
   const int kBatch = 4096;
   uint64_t pages = 0;
   for (auto _ : state) {
-    DataQueue q(DataQueueOptions{128, 0});
+    DataQueue q(DataQueueOptions{.page_size = 128});
     for (int i = 0; i < kBatch; ++i) {
       q.PushTuple(MakeTuple(i));
       if (i % punct_every == punct_every - 1) {
@@ -246,7 +169,7 @@ void BM_QueuePurgeMatching(benchmark::State& state) {
       0, AttrPattern::Le(Value::Int64(kBacklog / 2)));
   for (auto _ : state) {
     state.PauseTiming();
-    DataQueue q(DataQueueOptions{128, 0});
+    DataQueue q(DataQueueOptions{.page_size = 128});
     for (int i = 0; i < kBacklog; ++i) q.PushTuple(MakeTuple(i));
     state.ResumeTiming();
     int purged = q.PurgeMatching(old_half);
@@ -259,52 +182,30 @@ BENCHMARK(BM_QueuePurgeMatching)->Arg(1024)->Arg(16384);
 void RecordHotpathJson() {
   using benchjson::MeasurePerSec;
   const int kBatch = 4096;
-  auto pushpop = [&](DataQueueTransport transport, int page_size) {
+  auto pushpop = [&](int page_size) {
     return MeasurePerSec(kBatch, 150.0, [&] {
-      PushPopOnce(TransportOptions(transport, page_size, kBatch),
-                  kBatch);
+      PushPopOnce(DataQueueOptions{.page_size = page_size}, kBatch);
     });
   };
-  auto pushpop2t = [&](DataQueueTransport transport, int page_size) {
-    return MeasurePerSec(kBatch, 300.0, [&] {
-      PushPop2ThreadOnce(transport, page_size, kBatch);
-    });
-  };
-  const DataQueueTransport kMutex = DataQueueTransport::kMutexDeque;
-  const DataQueueTransport kSpsc = DataQueueTransport::kSpscRing;
   const int kReps = 256;
-  // Best-of-9 for the transport A/B rows: a single 150ms window on a
-  // shared box can eat a scheduler hiccup, and the A/B ratio is what
-  // downstream acceptance gates read.
+  // Best-of-9 for the transfer rows: a single 150ms window on a
+  // shared box can eat a scheduler hiccup.
   auto best_of9 = [](auto&& measure) {
     double best = 0;
     for (int i = 0; i < 9; ++i) best = std::max(best, measure());
     return best;
   };
-  // The A/B rows run both transports with the threaded executor's
-  // actual bound (max_pages=64) so neither side skips its
-  // backpressure machinery. 4096 tuples / 128 per page = 32 pages in
-  // flight, comfortably under the bound either way.
-  auto ab_options = [&](DataQueueTransport transport) {
-    DataQueueOptions opts;
-    opts.page_size = 128;
-    opts.max_pages = 64;
-    opts.transport = transport;
-    return opts;
-  };
+  const DataQueueOptions page128{.page_size = 128};
   TupleTransferBench tuple_transfer(kBatch);
-  auto tuple_only = [&](DataQueueTransport transport) {
+  auto tuple_only = [&] {
     return best_of9([&] {
       return MeasurePerSec(static_cast<double>(kBatch) * kReps, 150.0,
-                           [&] {
-                             tuple_transfer.Run(ab_options(transport),
-                                                kReps);
-                           });
+                           [&] { tuple_transfer.Run(page128, kReps); });
     });
   };
   PageTransferBench page_transfer(kBatch, 128);
-  auto page_only = [&](DataQueueTransport transport) {
-    DataQueue q(ab_options(transport));
+  auto page_only = [&] {
+    DataQueue q(page128);
     return best_of9([&] {
       return MeasurePerSec(
           static_cast<double>(kBatch) * kReps, 150.0,
@@ -315,25 +216,16 @@ void RecordHotpathJson() {
   PunctPattern old_half = PunctPattern::AllWildcard(2).With(
       0, AttrPattern::Le(Value::Int64(kBacklog / 2)));
   double purge = MeasurePerSec(kBacklog, 150.0, [&] {
-    DataQueue q(DataQueueOptions{128, 0});
+    DataQueue q(page128);
     for (int i = 0; i < kBacklog; ++i) q.PushTuple(MakeTuple(i));
     benchmark::DoNotOptimize(q.PurgeMatching(old_half));
   });
 
-  double mutex1 = pushpop(kMutex, 1);
-  double mutex128 = pushpop(kMutex, 128);
-  double mutex2048 = pushpop(kMutex, 2048);
-  double tuple_mutex128 = tuple_only(kMutex);
-  double tuple_spsc128 = tuple_only(kSpsc);
-  double page_mutex128 = page_only(kMutex);
-  double page_spsc128 = page_only(kSpsc);
-  double mutex_2t = pushpop2t(kMutex, 128);
-  double spsc_2t = pushpop2t(kSpsc, 128);
-  // The unbounded SPSC chain — the transport SyncExecutor edges now
-  // ride instead of the mutex deque.
-  const DataQueueTransport kChain = DataQueueTransport::kSpscChain;
-  double page_chain128 = page_only(kChain);
-  double tuple_chain128 = tuple_only(kChain);
+  double pushpop1 = pushpop(1);
+  double pushpop128 = pushpop(128);
+  double pushpop2048 = pushpop(2048);
+  double page_chain128 = page_only();
+  double tuple_chain128 = tuple_only();
 
   // Arena A/B: construct-transfer-consume per tuple. The producer
   // builds each 3-value tuple (two numerics + a short string) in the
@@ -343,10 +235,8 @@ void RecordHotpathJson() {
   // memory model's per-tuple cost, isolated from any operator logic.
   auto build_cycle = [&](bool arenas_on) {
     ScopedTupleArenasEnabled scoped(arenas_on);
-    DataQueueOptions opts;
-    opts.page_size = 128;
-    opts.transport = kChain;
-    opts.assume_single_thread = true;
+    const DataQueueOptions opts{.page_size = 128,
+                                .assume_single_thread = true};
     const int reps = 16;
     return best_of9([&] {
       return MeasurePerSec(
@@ -373,28 +263,13 @@ void RecordHotpathJson() {
   double noarena_build = build_cycle(false);
 
   benchjson::RecordAll({
-      {"queue.pushpop_page1_tuples_per_sec", mutex1},
-      {"queue.pushpop_page128_tuples_per_sec", mutex128},
-      {"queue.pushpop_page2048_tuples_per_sec", mutex2048},
-      // Per-tuple transfer (queue assembles the pages).
-      {"queue.tuple_transfer_mutex_page128_tuples_per_sec",
-       tuple_mutex128},
-      {"queue.tuple_transfer_spsc_page128_tuples_per_sec",
-       tuple_spsc128},
-      {"queue.spsc_tuple_speedup_page128",
-       tuple_spsc128 / tuple_mutex128},
-      // Whole-page transfer (the engine's page-granular flow) — the
-      // undiluted transport comparison.
-      {"queue.mutex_pushpop_page128_tuples_per_sec", page_mutex128},
-      {"queue.spsc_pushpop_page128_tuples_per_sec", page_spsc128},
-      {"queue.spsc_speedup_page128", page_spsc128 / page_mutex128},
-      {"queue.pushpop_2thread_page128_tuples_per_sec", mutex_2t},
-      {"queue.spsc_pushpop_2thread_page128_tuples_per_sec", spsc_2t},
-      {"queue.spsc_2thread_speedup_page128", spsc_2t / mutex_2t},
+      {"queue.pushpop_page1_tuples_per_sec", pushpop1},
+      {"queue.pushpop_page128_tuples_per_sec", pushpop128},
+      {"queue.pushpop_page2048_tuples_per_sec", pushpop2048},
       {"queue.purge_16k_tuples_per_sec", purge},
-      // Growable SPSC chain (SyncExecutor's unbounded edges).
+      // Whole-page transfer (the engine's page-granular flow).
       {"queue.chain_pushpop_page128_tuples_per_sec", page_chain128},
-      {"queue.chain_speedup_page128", page_chain128 / page_mutex128},
+      // Per-tuple transfer (the queue assembles the pages).
       {"queue.chain_tuple_transfer_page128_tuples_per_sec",
        tuple_chain128},
       // Arena-backed tuple memory: build + transfer + consume.

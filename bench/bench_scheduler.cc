@@ -1,10 +1,9 @@
-// Scheduler characterization (ROADMAP item 3): what a fixed worker
-// pool costs relative to a thread per operator. Records the per-slice
-// dispatch overhead, the wake→drain round trip on a 1-tuple-page
-// pipe, the pool=1 end-to-end throughput against ThreadedExecutor on
-// the Table 2 join pipeline (acceptance: within 10%), and the
+// Scheduler characterization: what a fixed worker pool costs and what
+// extra workers buy. Records the per-slice dispatch overhead, the
+// wake→drain round trip on a 1-tuple-page pipe, pool=N against pool=1
+// end-to-end throughput on the Table 2 join pipeline, and the
 // multi-query shape the pool exists for — many concurrent plans on
-// two workers, which thread-per-operator could only serve by
+// two workers, which a thread per operator could only serve by
 // spawning plans × operators threads.
 //
 // Like the sharded-join and queue benches, several rows depend on how
@@ -22,7 +21,6 @@
 #include "bench_json.h"
 #include "common/logging.h"
 #include "exec/scheduler.h"
-#include "exec/threaded_executor.h"
 #include "ops/select.h"
 #include "ops/sink.h"
 #include "ops/symmetric_hash_join.h"
@@ -175,12 +173,9 @@ PooledRun RunPooled(int n, PooledExecutorOptions opts,
   return out;
 }
 
-double RunThreadedMs(int n) {
-  JoinPlan p = MakeJoinPlan(n);
-  ThreadedExecutor exec;
-  auto start = std::chrono::steady_clock::now();
-  NSTREAM_CHECK(exec.Run(p.plan.get()).ok());
-  return ElapsedMs(start);
+// Pool size for the pool-N rows: every online CPU, at least two.
+int PoolN() {
+  return std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
 // ---- google-benchmark registrations (bench-smoke coverage) ---------
@@ -206,13 +201,16 @@ void BM_Pooled_Join_Pool1(benchmark::State& state) {
 }
 BENCHMARK(BM_Pooled_Join_Pool1)->Arg(1 << 11);
 
-void BM_Threaded_Join(benchmark::State& state) {
+void BM_Pooled_Join_PoolN(benchmark::State& state) {
+  PooledExecutorOptions opts;
+  opts.pool_size = PoolN();
   for (auto _ : state) {
-    double ms = RunThreadedMs(static_cast<int>(state.range(0)));
-    benchmark::DoNotOptimize(ms);
+    PooledRun r = RunPooled(static_cast<int>(state.range(0)), opts,
+                            /*join_plan=*/true);
+    benchmark::DoNotOptimize(r.stats.slices);
   }
 }
-BENCHMARK(BM_Threaded_Join)->Arg(1 << 11);
+BENCHMARK(BM_Pooled_Join_PoolN)->Arg(1 << 11);
 
 // ---- Recorded trajectory metrics -----------------------------------
 
@@ -250,24 +248,26 @@ void RecordHotpathJson() {
     wake_ns = std::min(wake_ns, ns);
   }
 
-  // Pool=1 vs thread-per-operator on the Table 2 join: the overhead
-  // acceptance row. Both sides warm once then best-of-3; throughput is
-  // input tuples (both sides) per wall second.
+  // Pool=N vs pool=1 on the Table 2 join: what extra workers buy on
+  // one plan. Both sides warm once, then best-of-3 with the two
+  // configurations interleaved so box drift hits both alike;
+  // throughput is input tuples (both sides) per wall second.
   const int kJoinN = 1 << 13;
+  PooledExecutorOptions pooln;
+  pooln.pool_size = PoolN();
   RunPooled(kJoinN, pool1, true);  // warm-up
-  RunThreadedMs(kJoinN);
+  RunPooled(kJoinN, pooln, true);
   double pool1_tps = 0;
-  double threaded_tps = 0;
+  double pooln_tps = 0;
   for (int i = 0; i < 3; ++i) {
-    PooledRun r = RunPooled(kJoinN, pool1, true);
-    pool1_tps = std::max(pool1_tps, 2.0 * kJoinN / (r.ms / 1000.0));
-    double tms = RunThreadedMs(kJoinN);
-    threaded_tps =
-        std::max(threaded_tps, 2.0 * kJoinN / (tms / 1000.0));
+    PooledRun r1 = RunPooled(kJoinN, pool1, true);
+    pool1_tps = std::max(pool1_tps, 2.0 * kJoinN / (r1.ms / 1000.0));
+    PooledRun rn = RunPooled(kJoinN, pooln, true);
+    pooln_tps = std::max(pooln_tps, 2.0 * kJoinN / (rn.ms / 1000.0));
   }
 
   // The multi-query shape: 8 filter-chain plans resident on one
-  // 2-worker pool. Thread-per-operator would need 8 plans × 4 ops =
+  // 2-worker pool. A thread per operator would need 8 plans × 4 ops =
   // 32 threads for the same job.
   const int kMultiN = 1 << 12;
   const int kPlans = 8;
@@ -297,10 +297,11 @@ void RecordHotpathJson() {
       {"sched.slice_ns", slice_ns},
       {"sched.wake_roundtrip_ns", wake_ns},
       {"sched.pool1_join_tuples_per_sec", pool1_tps},
-      {"sched.threaded_join_tuples_per_sec", threaded_tps},
-      // Acceptance row: >= 0.9 means pool=1 is within 10% of a
-      // thread per operator on the same pipeline.
-      {"sched.pool1_vs_threaded", pool1_tps / threaded_tps},
+      {"sched.poolN_join_tuples_per_sec", pooln_tps},
+      {"sched.poolN_size", static_cast<double>(PoolN())},
+      // > 1 means the extra workers speed up one plan; on a 1-CPU
+      // host it measures pure cross-worker overhead.
+      {"sched.poolN_vs_pool1", pooln_tps / pool1_tps},
       {"sched.multiquery8_pool2_tuples_per_sec", multi_tps},
       {"sched.online_cpus",
        static_cast<double>(std::thread::hardware_concurrency())},

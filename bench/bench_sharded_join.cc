@@ -10,12 +10,13 @@
 //     are 1/N the footprint, so probes hit higher in the cache
 //     hierarchy even on a single core (radix-partitioning locality).
 //   * E2E — the full fan-out/fan-in subplan (2 Exchanges → N shards →
-//     ShardMerge → sink) under the ThreadedExecutor. On a multi-core
-//     host the N shard threads run concurrently and this is where the
-//     parallel speedup shows; on a single-core host it degenerates to
-//     the locality effect minus scheduling overhead. The host's core
-//     count is recorded (sharded_join.online_cpus) so the trajectory
-//     file stays interpretable across machines.
+//     ShardMerge → sink) on the PooledExecutor with one worker per
+//     online CPU (at least two). On a multi-core host the N shard
+//     tasks run concurrently and this is where the parallel speedup
+//     shows; on a single-core host it degenerates to the locality
+//     effect minus scheduling overhead. The host's core count is
+//     recorded (sharded_join.online_cpus) so the trajectory file stays
+//     interpretable across machines.
 //   * EQUIVALENCE — the 4-shard output is verified tuple-identical (up
 //     to ordering) to the 1-shard baseline before any number is
 //     recorded; a mismatch hard-fails the bench.
@@ -34,8 +35,8 @@
 
 #include "bench_json.h"
 #include "common/logging.h"
+#include "exec/scheduler.h"
 #include "exec/sync_executor.h"
-#include "exec/threaded_executor.h"
 #include "ops/exchange.h"
 #include "ops/sink.h"
 #include "ops/vector_source.h"
@@ -169,7 +170,7 @@ StageResult StageRun(int num_shards, int num_keys, int reps) {
 }
 
 // ---------------------------------------------------------------------------
-// E2E: source → Exchange×2 → N shards → ShardMerge → sink, threaded.
+// E2E: source → Exchange×2 → N shards → ShardMerge → sink, pooled.
 // ---------------------------------------------------------------------------
 
 std::vector<TimedElement> SideElements(int num_keys, uint64_t seed,
@@ -191,7 +192,7 @@ struct E2eResult {
 };
 
 E2eResult E2eRun(int num_shards, int num_keys, bool record, int reps,
-                 bool threaded) {
+                 bool pooled) {
   E2eResult out;
   for (int rep = 0; rep < reps; ++rep) {
     QueryPlan plan;
@@ -216,11 +217,13 @@ E2eResult E2eRun(int num_shards, int num_keys, bool record, int reps,
 
     auto t0 = std::chrono::steady_clock::now();
     Status st;
-    if (threaded) {
-      ThreadedExecutorOptions opts;
-      opts.queue = DataQueueOptions{/*page_size=*/256, /*max_pages=*/64};
+    if (pooled) {
+      PooledExecutorOptions opts;
+      opts.pool_size = std::max(
+          2, static_cast<int>(std::thread::hardware_concurrency()));
+      opts.queue = DataQueueOptions{.page_size = 256};
       opts.max_pages_per_wake = 8;
-      ThreadedExecutor exec(opts);
+      PooledExecutor exec(opts);
       st = exec.Run(&plan);
     } else {
       SyncExecutor exec;
@@ -254,13 +257,13 @@ void RecordHotpathJson() {
   // Equivalence gate first: no number is recorded unless the 4-shard
   // topology produces exactly the 1-shard result set.
   E2eResult base =
-      E2eRun(1, kEquivKeys, /*record=*/true, 1, /*threaded=*/false);
+      E2eRun(1, kEquivKeys, /*record=*/true, 1, /*pooled=*/false);
   E2eResult quad =
-      E2eRun(4, kEquivKeys, /*record=*/true, 1, /*threaded=*/false);
-  E2eResult quad_threaded =
-      E2eRun(4, kEquivKeys, /*record=*/true, 1, /*threaded=*/true);
+      E2eRun(4, kEquivKeys, /*record=*/true, 1, /*pooled=*/false);
+  E2eResult quad_pooled =
+      E2eRun(4, kEquivKeys, /*record=*/true, 1, /*pooled=*/true);
   bool equivalent = base.sorted_rows == quad.sorted_rows &&
-                    base.sorted_rows == quad_threaded.sorted_rows &&
+                    base.sorted_rows == quad_pooled.sorted_rows &&
                     !base.sorted_rows.empty();
   std::printf("[sharded_join] equivalence 4v1: %s (%zu rows)\n",
               equivalent ? "OK" : "MISMATCH", base.sorted_rows.size());
@@ -287,7 +290,7 @@ void RecordHotpathJson() {
   double e2e1 = 0;
   for (int shards : {1, 2, 4, 8}) {
     E2eResult r =
-        E2eRun(shards, kE2eKeys, /*record=*/false, 5, /*threaded=*/true);
+        E2eRun(shards, kE2eKeys, /*record=*/false, 5, /*pooled=*/true);
     if (shards == 1) e2e1 = r.tuples_per_sec;
     metrics["sharded_join.e2e_shards" + std::to_string(shards) +
             "_tuples_per_sec"] = r.tuples_per_sec;
@@ -306,7 +309,7 @@ void RecordHotpathJson() {
   if (std::thread::hardware_concurrency() <= 1) {
     std::printf(
         "[sharded_join] NOTE: single-core host — e2e speedup reflects "
-        "partitioned-table cache locality only; shard threads cannot "
+        "partitioned-table cache locality only; shard tasks cannot "
         "run concurrently here.\n");
   }
   benchjson::RecordAll(metrics);
@@ -323,16 +326,16 @@ void BM_ShardedJoinStage(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedJoinStage)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_ShardedJoinE2eThreaded(benchmark::State& state) {
+void BM_ShardedJoinE2ePooled(benchmark::State& state) {
   const int shards = static_cast<int>(state.range(0));
   const int keys = 1 << 13;
   for (auto _ : state) {
-    E2eResult r = E2eRun(shards, keys, false, 1, /*threaded=*/true);
+    E2eResult r = E2eRun(shards, keys, false, 1, /*pooled=*/true);
     benchmark::DoNotOptimize(r.consumed);
   }
   state.SetItemsProcessed(state.iterations() * 2 * keys);
 }
-BENCHMARK(BM_ShardedJoinE2eThreaded)->Arg(1)->Arg(4);
+BENCHMARK(BM_ShardedJoinE2ePooled)->Arg(1)->Arg(4);
 
 }  // namespace
 }  // namespace nstream

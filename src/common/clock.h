@@ -3,8 +3,8 @@
 //   * application time  — the timestamp attribute inside tuples;
 //   * system time       — when an element moves through the engine. Under
 //                         the discrete-event SimExecutor this is virtual
-//                         (deterministic); under the threaded executor it
-//                         is wall-clock;
+//                         (deterministic); under the pooled scheduler it
+//                         is wall-clock (or a VirtualClock in manual mode);
 //   * wall time         — host clock, used only by benchmarks.
 
 #ifndef NSTREAM_COMMON_CLOCK_H_
@@ -41,7 +41,7 @@ class VirtualClock final : public Clock {
   TimeMs now_;
 };
 
-/// Wall-clock time (steady), used by the threaded executor.
+/// Wall-clock time (steady), used by the pooled scheduler.
 class WallClock final : public Clock {
  public:
   WallClock()

@@ -4,8 +4,7 @@
 // charging processing cost (virtual time under the SimExecutor).
 //
 // Operators are written once against this interface and run unchanged
-// under the synchronous, discrete-event, and thread-per-operator
-// executors.
+// under the synchronous, discrete-event, and pooled executors.
 
 #ifndef NSTREAM_EXEC_EXEC_CONTEXT_H_
 #define NSTREAM_EXEC_EXEC_CONTEXT_H_
@@ -20,7 +19,7 @@
 namespace nstream {
 
 /// What ExecContext::ChargeMs does under executors that model cost in
-/// real time (threaded / pooled). The SimExecutor has its own
+/// real time (the pooled scheduler). The SimExecutor has its own
 /// virtual-time accounting and ignores this knob; the pooled
 /// scheduler's manual mode maps ChargeMs onto a VirtualClock instead.
 enum class ChargePolicy : uint8_t {
@@ -39,10 +38,11 @@ class ExecContext {
   virtual void EmitPunct(int out_port, Punctuation p) = 0;
   virtual void EmitEos(int out_port) = 0;
   /// Emit a whole pre-assembled page of tuples in one call. Queue-backed
-  /// executors override this with DataQueue::PushPage (one lock per page
-  /// instead of one per tuple); the default decomposes into per-element
-  /// emissions, so operators may use it unconditionally. The page must
-  /// contain only tuples — punctuation/EOS keep their dedicated paths.
+  /// executors override this with DataQueue::PushPage (one queue hop
+  /// per page instead of one per tuple); the default decomposes into
+  /// per-element emissions, so operators may use it unconditionally.
+  /// The page must contain only tuples — punctuation/EOS keep their
+  /// dedicated paths.
   virtual void EmitPage(int out_port, Page&& page) {
     page.EnsureRowLayout();  // per-element decomposition needs rows
     for (StreamElement& e : page.mutable_elements()) {
@@ -57,10 +57,10 @@ class ExecContext {
   /// Arena backing the open output page of `out_port`, so per-tuple
   /// emitters can build results in place (zero heap allocations per
   /// tuple; payloads are freed wholesale when the consumer drops the
-  /// page). Null whenever the executor, transport, or global arena
-  /// switch cannot provide one — callers must treat null as "build an
-  /// owned tuple" (Tuple's arena constructor and Value::StringIn both
-  /// accept null for exactly this). A tuple built from the returned
+  /// page). Null whenever the executor or the global arena switch
+  /// cannot provide one — callers must treat null as "build an owned
+  /// tuple" (Tuple's arena constructor and Value::StringIn both accept
+  /// null for exactly this). A tuple built from the returned
   /// arena must be passed to EmitTuple on the SAME port before any
   /// other emission on that port.
   virtual TupleArena* OpenPageArena(int out_port) {

@@ -330,8 +330,8 @@ enum class SourcePoll : uint8_t {
 
 /// A source operator generates the stream. `NextArrivalMs` exposes the
 /// (system-time) instant the next element becomes available, letting
-/// the SimExecutor schedule arrivals and the ThreadedExecutor pace them
-/// in real time if asked to.
+/// the SimExecutor schedule arrivals and the pooled scheduler pace them
+/// (in wall or virtual time) if asked to.
 class SourceOperator : public Operator {
  public:
   SourceOperator(std::string name, int num_outputs = 1)

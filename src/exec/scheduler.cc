@@ -29,10 +29,10 @@ const char* TaskStateName(TaskState s) {
 
 namespace {
 
-/// ExecContext for one (query, operator) task. Identical data paths to
-/// ThreadedContext, but clocked by the scheduler's Clock (wall or
-/// virtual) and, under a virtual clock, mapping ChargeMs onto clock
-/// advancement instead of sleeping — deterministic cost accounting.
+/// ExecContext for one (query, operator) task, clocked by the
+/// scheduler's Clock (wall or virtual). Under a virtual clock ChargeMs
+/// maps onto clock advancement instead of sleeping — deterministic
+/// cost accounting.
 class PooledContext final : public ExecContext {
  public:
   PooledContext(PlanRuntime* rt, int64_t op_id, const Clock* clock,
@@ -278,13 +278,10 @@ Result<QueryId> Scheduler::SubmitInternal(QueryPlan* plan,
     if (!st.ok()) return st;
   }
   DataQueueOptions qopts = options_.queue;
-  // Non-blocking pushes are mandatory on a fixed pool (see header).
-  qopts.max_pages = 0;
-  auto rt_result = PlanRuntime::Create(
-      plan, qopts,
-      options_.use_lockfree_queues
-          ? EdgeTransportPolicy::kSpscChainWhereEligible
-          : EdgeTransportPolicy::kMutexDeque);
+  // Tasks migrate between workers, so a queue's producer and consumer
+  // are never assumed to share a thread (see header).
+  qopts.assume_single_thread = false;
+  auto rt_result = PlanRuntime::Create(plan, qopts);
   if (!rt_result.ok()) return rt_result.status();
 
   auto run = std::make_unique<QueryRun>();
@@ -749,9 +746,9 @@ void Scheduler::WorkerLoop(int worker) {
       }
       continue;
     }
-    // Idle: timed wait (same missed-notify-costs-latency-never-
-    // correctness idiom as the threaded executor's wake objects, and
-    // the poll that releases paced sources when their time comes).
+    // Idle: timed wait (a missed notify costs latency, never
+    // correctness), which doubles as the poll that releases paced
+    // sources when their time comes.
     ++idle_workers_;
     work_cv_.wait_for(lock, std::chrono::milliseconds(2));
     --idle_workers_;
@@ -1149,7 +1146,6 @@ PooledExecutor::PooledExecutor(PooledExecutorOptions options) {
   sopts.pace_scale = options.pace_scale;
   sopts.max_pages_per_wake = options.max_pages_per_wake;
   sopts.source_batch_per_slice = options.source_batch_per_slice;
-  sopts.use_lockfree_queues = options.use_lockfree_queues;
   scheduler_ = std::make_unique<Scheduler>(sopts);
 }
 

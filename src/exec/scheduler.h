@@ -1,8 +1,7 @@
 // Scheduler / PooledExecutor: resumable operator tasks on a fixed-size
-// worker pool (ROADMAP item 3). ThreadedExecutor spawns one thread per
-// operator — fine for one plan, fatal for thousands of concurrent
-// queries. Here each operator becomes a TASK driven through a small
-// state machine:
+// worker pool. A thread per operator is fine for one plan but fatal
+// for thousands of concurrent queries; here each operator becomes a
+// TASK driven through a small state machine:
 //
 //        Submit                   Wake (page/control arrives)
 //   ┌──> kQueued ──pop──> kRunning ──no work──> kWaiting ──┐
@@ -21,19 +20,19 @@
 // running slice sets `wake_pending`, which the slice's completion
 // converts into a re-enqueue.
 //
-// Transports: every push the pool makes must be NON-BLOCKING — with a
+// Queues: every push the pool makes must be NON-BLOCKING — with a
 // fixed pool, a producer slice parked on backpressure can starve the
 // very consumer task that would drain the queue (guaranteed deadlock
-// at pool size 1). Submit therefore wires plans with
-// EdgeTransportPolicy::kSpscChainWhereEligible (unbounded SPSC chain /
-// unbounded mutex deque) and forces max_pages = 0.
+// at pool size 1). The DataQueue's unbounded SPSC chain never blocks.
 //
 // SPSC soundness under worker migration: each queue side is pinned to
 // one task, a task runs on at most one worker at a time, and the
 // worker handoff goes through the scheduler mutex (release/acquire),
-// so the chain's single-writer fields see proper happens-before. The
-// DataQueue consumer-affinity tripwire enforces the consumer half of
-// this at runtime (tokens set per slice).
+// so the chain's single-writer fields see proper happens-before.
+// Because the two sides may sit on different workers, Submit forces
+// DataQueueOptions::assume_single_thread off. The DataQueue
+// consumer-affinity tripwire enforces the consumer half of this at
+// runtime (tokens set per slice).
 //
 // Manual mode (`SchedulerOptions::manual`) starts no workers and
 // exposes the ready set for external driving — the deterministic
@@ -80,9 +79,9 @@ struct SchedulerOptions {
   /// Worker threads (ignored in manual mode). The pool size bounds
   /// thread count regardless of how many plans/operators are live.
   int num_workers = 2;
-  /// Per-edge queue tuning. max_pages is forced to 0 (unbounded) at
-  /// Submit: pooled pushes must never block (see file comment).
-  DataQueueOptions queue{/*page_size=*/128, /*max_pages=*/0};
+  /// Per-edge queue tuning. assume_single_thread is forced off at
+  /// Submit: tasks migrate between workers (see file comment).
+  DataQueueOptions queue{.page_size = 128};
   ChargePolicy charge_policy = ChargePolicy::kIgnore;
   /// When true, each source produces only elements whose
   /// NextArrivalMs() * pace_scale is due on the scheduler clock; a
@@ -95,9 +94,6 @@ struct SchedulerOptions {
   int max_pages_per_wake = 1;
   /// Elements a source may produce per slice (its drain budget).
   int source_batch_per_slice = 32;
-  /// SPSC-eligible edges get the unbounded lock-free chain; others the
-  /// unbounded mutex deque. Off = mutex deque everywhere (A/B hedge).
-  bool use_lockfree_queues = true;
   /// Manual mode: no worker threads; drive with ReadyCount /
   /// StepReadyAt / ReleaseDue / NextDueMs. Single-threaded by design.
   bool manual = false;
@@ -282,13 +278,12 @@ class Scheduler {
 /// and Wait on each for multi-query serving.
 struct PooledExecutorOptions {
   int pool_size = 2;
-  DataQueueOptions queue{/*page_size=*/128, /*max_pages=*/0};
+  DataQueueOptions queue{.page_size = 128};
   ChargePolicy charge_policy = ChargePolicy::kIgnore;
   bool pace_sources = false;
   double pace_scale = 1.0;
   int max_pages_per_wake = 1;
   int source_batch_per_slice = 32;
-  bool use_lockfree_queues = true;
 };
 
 class PooledExecutor {

@@ -74,17 +74,11 @@ Status SyncExecutor::Run(QueryPlan* plan) {
     NSTREAM_RETURN_NOT_OK(plan->Finalize());
   }
   DataQueueOptions queue_options = options_.queue;
-  EdgeTransportPolicy policy = EdgeTransportPolicy::kMutexDeque;
-  if (options_.use_growable_rings &&
-      queue_options.transport == DataQueueTransport::kMutexDeque) {
-    // Everything runs on this one thread, so every edge is trivially
-    // SPSC and the unbounded chain replaces the mutex deque. A caller
-    // who pinned an explicit transport in options_.queue keeps it.
-    policy = EdgeTransportPolicy::kSpscChainSingleThread;
-  }
-  NSTREAM_ASSIGN_OR_RETURN(
-      std::unique_ptr<PlanRuntime> rt,
-      PlanRuntime::Create(plan, queue_options, policy));
+  // Everything runs on this one thread, so feedback surgery may reach
+  // into each queue's producer-side open page.
+  queue_options.assume_single_thread = true;
+  NSTREAM_ASSIGN_OR_RETURN(std::unique_ptr<PlanRuntime> rt,
+                           PlanRuntime::Create(plan, queue_options));
 
   const int n = plan->num_operators();
   std::vector<std::unique_ptr<SyncContext>> contexts;

@@ -3,7 +3,8 @@
 // query per dirty tuple). The estimator is injected so the operator
 // stays decoupled from the archive implementation; `cost_ms` charges
 // the lookup's latency to the virtual clock under the SimExecutor (or
-// sleeps/spins under the threaded executor's charge policy).
+// sleeps/spins under the pooled scheduler's charge policy, or
+// busy-parks the task on the scheduler's virtual clock).
 //
 // As a feedback *exploiter*, IMPUTE reacts to assumed punctuation by
 // (1) purging matching tuples buffered on its input — work not yet

@@ -69,8 +69,8 @@ class ControlChannel {
 
   bool HasMessage() const;
 
-  /// Called whenever a message arrives; wakes the producer-side
-  /// operator thread in the threaded executor.
+  /// Called whenever a message arrives; the pooled scheduler uses it
+  /// to wake the producer-side operator task.
   void SetNotifier(std::function<void()> fn);
 
   ControlChannelStats stats() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 #include "punct/compiled_pattern.h"
 #include "recovery/snapshot.h"
@@ -37,27 +36,16 @@ void DataQueue::CheckConsumerAffinity() const {
   }
 }
 
-DataQueue::DataQueue(DataQueueOptions options) : options_(options) {
+DataQueue::DataQueue(DataQueueOptions options)
+    : options_(options),
+      chain_(static_cast<size_t>(std::max(options.chain_segment_pages, 2))) {
   if (options_.page_size <= 0) options_.page_size = 1;
   open_page_.Reserve(static_cast<size_t>(options_.page_size) + 1);
-  if (spsc()) {
-    int cap = options_.max_pages > 0 ? options_.max_pages
-                                     : options_.spsc_default_capacity;
-    if (cap <= 0) cap = 2;
-    ring_ = std::make_unique<SpscRing<Page>>(static_cast<size_t>(cap));
-  } else if (chain()) {
-    int seg = options_.chain_segment_pages;
-    if (seg <= 0) seg = 2;
-    chain_ = std::make_unique<SpscChain<Page>>(static_cast<size_t>(seg));
-  }
 }
 
 TupleArena* DataQueue::OpenPageArena() {
-  // Lock-free transports keep the open page producer-local, so its
-  // arena is safe to hand to the (producer-side) caller. On the mutex
-  // deque the open page is shared under mu_ with consumer-side
-  // surgery, so only a single-threaded queue may expose it.
-  if (!lockfree() && !options_.assume_single_thread) return nullptr;
+  // The open page is producer-local, so its arena is safe to hand to
+  // the (producer-side) caller.
   return open_page_.arena();
 }
 
@@ -78,121 +66,51 @@ void DataQueue::CountFlush(FlushReason reason) {
   }
 }
 
-// ---- Lock-free (ring/chain) producer side ----
+// ---- Producer side ----
 
-void DataQueue::PushRing(Page&& page) {
-  if (chain_ != nullptr) {
-    // The chain is unbounded: no backpressure, no wait.
-    chain_->Push(std::move(page));
-    NotifyConsumer();
-    if (consumer_waiting_.load(std::memory_order_relaxed)) {
-      not_empty_.notify_one();
-    }
-    return;
-  }
-  while (!ring_->TryPush(std::move(page))) {
-    // Ring full: backpressure. The consumer pops lock-free and only
-    // signals when it knows a producer is parked, so park with a short
-    // timed re-check — the same timed-wait idiom as the executors'
-    // wake objects; a missed notify costs bounded latency, never
-    // correctness.
-    std::unique_lock<std::mutex> lock(mu_);
-    producer_waiting_.store(true, std::memory_order_relaxed);
-    not_full_.wait_for(lock, std::chrono::milliseconds(1));
-    producer_waiting_.store(false, std::memory_order_relaxed);
-  }
-  NotifyConsumer();
-  if (consumer_waiting_.load(std::memory_order_relaxed)) {
-    not_empty_.notify_one();
-  }
-}
-
-void DataQueue::FlushToRing(FlushReason reason) {
-  if (open_page_.empty()) return;
+bool DataQueue::SealOpenPage(FlushReason reason) {
+  if (open_page_.empty()) return false;
   open_page_.set_flush_reason(reason);
   CountFlush(reason);
-  PushRing(std::move(open_page_));
+  chain_.Push(std::move(open_page_));
   open_page_ = Page();
   open_page_.Reserve(static_cast<size_t>(options_.page_size) + 1);
+  return true;
 }
 
-// ---- Producer API ----
+void DataQueue::FlushOpenPage(FlushReason reason) {
+  if (SealOpenPage(reason)) NotifyConsumer();
+}
 
 void DataQueue::PushTuple(Tuple t) {
-  if (lockfree()) {
-    // Producer-thread-local: no lock, no atomic RMW. The ring hop (and
-    // its notify) is paid once per page, not per tuple. AddTuple
-    // re-homes a tuple still backed by another page's arena (a filter
-    // forwarding upstream-arena tuples element-wise) into this open
-    // page's arena — a bump-copy, never a heap allocation.
-    open_page_.AddTuple(std::move(t));
-    stats_.tuples_pushed.store(++spsc_tuples_pushed_,
-                               std::memory_order_relaxed);
-    if (static_cast<int>(open_page_.size()) >= options_.page_size) {
-      FlushToRing(FlushReason::kPageFull);
-    }
-    return;
+  // Producer-local: no lock, no atomic RMW. The chain hop (and its
+  // notify) is paid once per page, not per tuple. AddTuple re-homes a
+  // tuple still backed by another page's arena (a filter forwarding
+  // upstream-arena tuples element-wise) into this open page's arena —
+  // a bump-copy, never a heap allocation.
+  open_page_.AddTuple(std::move(t));
+  stats_.tuples_pushed.store(++tuples_pushed_, std::memory_order_relaxed);
+  if (static_cast<int>(open_page_.size()) >= options_.page_size) {
+    FlushOpenPage(FlushReason::kPageFull);
   }
-  bool notify = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (options_.max_pages > 0) {
-      not_full_.wait(lock, [&] {
-        return static_cast<int>(pages_.size()) < options_.max_pages;
-      });
-    }
-    open_page_.AddTuple(std::move(t));
-    Inc(stats_.tuples_pushed);
-    if (static_cast<int>(open_page_.size()) >= options_.page_size) {
-      FlushLocked(FlushReason::kPageFull);
-      notify = true;
-    }
-  }
-  if (notify) NotifyConsumer();
 }
 
 void DataQueue::PushPunctuation(Punctuation p) {
-  if (lockfree()) {
-    open_page_.Add(StreamElement::OfPunct(std::move(p)));
-    Inc(stats_.puncts_pushed);  // rare: one per punctuation, not per tuple
-    // Punctuation flushes the page: a slow stream must not strand
-    // progress information behind an unfilled page (§5).
-    FlushToRing(FlushReason::kPunctuation);
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (options_.max_pages > 0) {
-      not_full_.wait(lock, [&] {
-        return static_cast<int>(pages_.size()) < options_.max_pages;
-      });
-    }
-    open_page_.Add(StreamElement::OfPunct(std::move(p)));
-    Inc(stats_.puncts_pushed);
-    FlushLocked(FlushReason::kPunctuation);
-  }
-  NotifyConsumer();
+  open_page_.Add(StreamElement::OfPunct(std::move(p)));
+  Inc(stats_.puncts_pushed);  // rare: one per punctuation, not per tuple
+  // Punctuation flushes the page: a slow stream must not strand
+  // progress information behind an unfilled page (§5).
+  FlushOpenPage(FlushReason::kPunctuation);
 }
 
 void DataQueue::PushEos() {
-  if (lockfree()) {
-    open_page_.Add(StreamElement::Eos());
-    FlushToRing(FlushReason::kEndOfStream);
-    // Set after the final page is published: a consumer that observes
-    // eos_pushed_ (acquire) therefore also observes that page.
-    eos_pushed_.store(true, std::memory_order_release);
-    NotifyConsumer();
-    if (consumer_waiting_.load(std::memory_order_relaxed)) {
-      not_empty_.notify_one();
-    }
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    open_page_.Add(StreamElement::Eos());
-    FlushLocked(FlushReason::kEndOfStream);
-    eos_pushed_.store(true, std::memory_order_release);
-  }
+  open_page_.Add(StreamElement::Eos());
+  SealOpenPage(FlushReason::kEndOfStream);
+  // Set after the final page is published: a consumer that observes
+  // eos_pushed_ (acquire) therefore also observes that page. The one
+  // notify comes after both, so the woken consumer sees the queue
+  // drainable to Drained().
+  eos_pushed_.store(true, std::memory_order_release);
   NotifyConsumer();
 }
 
@@ -215,167 +133,49 @@ void DataQueue::PushPage(Page&& page) {
     }
   }
 #endif
-  if (lockfree()) {
-    // Preserve order: anything staged tuple-at-a-time goes first (the
-    // empty check stays inline — page-granular producers rarely have
-    // an open per-tuple page).
-    if (!open_page_.empty()) FlushToRing(FlushReason::kExplicit);
-    spsc_tuples_pushed_ += page.size();
-    stats_.tuples_pushed.store(spsc_tuples_pushed_,
-                               std::memory_order_relaxed);
-    stats_.pages_pushed_whole.store(++spsc_pages_whole_,
-                                    std::memory_order_relaxed);
-    page.set_flush_reason(FlushReason::kExplicit);
-    PushRing(std::move(page));
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    // Preserve order: anything staged tuple-at-a-time goes first. Two
-    // separate capacity waits keep the max_pages bound exact even when
-    // the open page must be flushed ahead of us.
-    if (!open_page_.empty()) {
-      if (options_.max_pages > 0) {
-        not_full_.wait(lock, [&] {
-          return static_cast<int>(pages_.size()) < options_.max_pages;
-        });
-      }
-      FlushLocked(FlushReason::kExplicit);
-    }
-    if (options_.max_pages > 0) {
-      not_full_.wait(lock, [&] {
-        return static_cast<int>(pages_.size()) < options_.max_pages;
-      });
-    }
-    Inc(stats_.tuples_pushed, page.size());
-    Inc(stats_.pages_pushed_whole);
-    page.set_flush_reason(FlushReason::kExplicit);
-    pages_.push_back(std::move(page));
-    not_empty_.notify_one();
-  }
+  // Preserve order: anything staged tuple-at-a-time goes first (the
+  // empty check stays inline — page-granular producers rarely have an
+  // open per-tuple page).
+  if (!open_page_.empty()) SealOpenPage(FlushReason::kExplicit);
+  tuples_pushed_ += page.size();
+  stats_.tuples_pushed.store(tuples_pushed_, std::memory_order_relaxed);
+  stats_.pages_pushed_whole.store(++pages_pushed_whole_,
+                                  std::memory_order_relaxed);
+  page.set_flush_reason(FlushReason::kExplicit);
+  chain_.Push(std::move(page));
   NotifyConsumer();
 }
 
-void DataQueue::Flush() {
-  if (lockfree()) {
-    FlushToRing(FlushReason::kExplicit);
-    return;
-  }
-  bool notify = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!open_page_.empty()) {
-      FlushLocked(FlushReason::kExplicit);
-      notify = true;
-    }
-  }
-  if (notify) NotifyConsumer();
-}
+void DataQueue::Flush() { FlushOpenPage(FlushReason::kExplicit); }
 
-void DataQueue::FlushLocked(FlushReason reason) {
-  if (open_page_.empty()) return;
-  open_page_.set_flush_reason(reason);
-  CountFlush(reason);
-  pages_.push_back(std::move(open_page_));
-  open_page_ = Page();
-  open_page_.Reserve(static_cast<size_t>(options_.page_size) + 1);
-  not_empty_.notify_one();
-}
+// ---- Consumer side ----
 
-// ---- Consumer API ----
-
-std::optional<Page> DataQueue::TryPopSpsc() {
+std::optional<Page> DataQueue::TryPopPage() {
+  CheckConsumerAffinity();
+  std::optional<Page> out;
   // Pages parked by purge/promote surgery are older than anything in
-  // the ring and must leave first. side_count_ keeps the no-surgery
+  // the chain and must leave first. side_count_ keeps the no-surgery
   // fast path lock-free.
   if (side_count_.load(std::memory_order_acquire) > 0) {
     std::lock_guard<std::mutex> lock(mu_);
     if (!side_pages_.empty()) {
-      Page out = std::move(side_pages_.front());
+      out = std::move(side_pages_.front());
       side_pages_.pop_front();
       side_count_.store(side_pages_.size(), std::memory_order_release);
-      stats_.pages_popped.store(++spsc_pages_popped_,
-                                std::memory_order_relaxed);
-      return out;
     }
   }
-  std::optional<Page> out =
-      chain_ != nullptr ? chain_->TryPop() : ring_->TryPop();
+  if (!out.has_value()) out = chain_.TryPop();
   if (out.has_value()) {
-    stats_.pages_popped.store(++spsc_pages_popped_,
-                              std::memory_order_relaxed);
-    if (producer_waiting_.load(std::memory_order_relaxed)) {
-      not_full_.notify_one();
-    }
+    stats_.pages_popped.store(++pages_popped_, std::memory_order_relaxed);
   }
   return out;
-}
-
-std::optional<Page> DataQueue::TryPopPage() {
-  CheckConsumerAffinity();
-  if (lockfree()) return TryPopSpsc();
-  std::optional<Page> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (pages_.empty()) return std::nullopt;
-    out = std::move(pages_.front());
-    pages_.pop_front();
-    Inc(stats_.pages_popped);
-    not_full_.notify_one();
-  }
-  return out;
-}
-
-std::optional<Page> DataQueue::PopPageBlocking(
-    const std::function<bool()>& cancel) {
-  CheckConsumerAffinity();
-  if (lockfree()) {
-    while (true) {
-      if (std::optional<Page> out = TryPopSpsc()) return out;
-      if (cancel && cancel()) return std::nullopt;
-      if (eos_pushed_.load(std::memory_order_acquire)) {
-        // The EOS flag is set after the final page's push, so one more
-        // poll is guaranteed to see everything ever published.
-        if (std::optional<Page> out = TryPopSpsc()) return out;
-        return std::nullopt;
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      consumer_waiting_.store(true, std::memory_order_relaxed);
-      not_empty_.wait_for(lock, std::chrono::milliseconds(5));
-      consumer_waiting_.store(false, std::memory_order_relaxed);
-    }
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    if (!pages_.empty()) {
-      Page out = std::move(pages_.front());
-      pages_.pop_front();
-      Inc(stats_.pages_popped);
-      not_full_.notify_one();
-      return out;
-    }
-    if (eos_pushed_.load(std::memory_order_relaxed) ||
-        (cancel && cancel())) {
-      return std::nullopt;
-    }
-    not_empty_.wait_for(lock, std::chrono::milliseconds(5));
-  }
 }
 
 // ---- Feedback-exploit surgery ----
 
-void DataQueue::DrainRingToSideLocked() {
-  if (chain_ != nullptr) {
-    while (std::optional<Page> p = chain_->TryPop()) {
-      side_pages_.push_back(std::move(*p));
-    }
-    return;
-  }
-  while (std::optional<Page> p = ring_->TryPop()) {
+void DataQueue::DrainChainToSideLocked() {
+  while (std::optional<Page> p = chain_.TryPop()) {
     side_pages_.push_back(std::move(*p));
-  }
-  if (producer_waiting_.load(std::memory_order_relaxed)) {
-    not_full_.notify_one();
   }
 }
 
@@ -402,31 +202,21 @@ int DataQueue::PurgeMatching(const PunctPattern& pattern) {
     removed += static_cast<int>(elems.end() - it);
     elems.erase(it, elems.end());
   };
-  auto drop_empty = [](std::deque<Page>* pages) {
-    pages->erase(std::remove_if(pages->begin(), pages->end(),
-                                [](const Page& p) { return p.empty(); }),
-                 pages->end());
-  };
-  if (lockfree()) {
-    // Consumer-side slow path: pull every published page out of the
-    // ring/chain into the staging deque (order preserved; pops serve
-    // the deque first) and purge there. The producer's open page stays
-    // untouched — see the header contract — unless the queue is
-    // single-threaded, where touching it is safe and keeps the purge
-    // semantics identical to the deque's.
-    std::lock_guard<std::mutex> lock(mu_);
-    DrainRingToSideLocked();
-    for (Page& p : side_pages_) purge_page(&p);
-    drop_empty(&side_pages_);
-    if (options_.assume_single_thread) purge_page(&open_page_);
-    side_count_.store(side_pages_.size(), std::memory_order_release);
-    return removed;
-  }
+  // Consumer-side slow path: pull every published page out of the
+  // chain into the staging deque (order preserved; pops serve the
+  // deque first) and purge there. The producer's open page stays
+  // untouched — see the header contract — unless the queue is
+  // single-threaded, where touching it is safe.
   std::lock_guard<std::mutex> lock(mu_);
-  for (Page& p : pages_) purge_page(&p);
-  purge_page(&open_page_);
+  DrainChainToSideLocked();
+  for (Page& p : side_pages_) purge_page(&p);
   // Drop pages emptied by the purge so consumers don't spin on them.
-  drop_empty(&pages_);
+  side_pages_.erase(
+      std::remove_if(side_pages_.begin(), side_pages_.end(),
+                     [](const Page& p) { return p.empty(); }),
+      side_pages_.end());
+  if (options_.assume_single_thread) purge_page(&open_page_);
+  side_count_.store(side_pages_.size(), std::memory_order_release);
   return removed;
 }
 
@@ -458,16 +248,11 @@ int DataQueue::PromoteMatching(const PunctPattern& pattern) {
       moved += static_cast<int>(mid - elems.begin());
     }
   };
-  if (lockfree()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    DrainRingToSideLocked();
-    for (Page& p : side_pages_) promote_page(&p);
-    if (options_.assume_single_thread) promote_page(&open_page_);
-    side_count_.store(side_pages_.size(), std::memory_order_release);
-    return moved;
-  }
   std::lock_guard<std::mutex> lock(mu_);
-  for (Page& p : pages_) promote_page(&p);
+  DrainChainToSideLocked();
+  for (Page& p : side_pages_) promote_page(&p);
+  if (options_.assume_single_thread) promote_page(&open_page_);
+  side_count_.store(side_pages_.size(), std::memory_order_release);
   return moved;
 }
 
@@ -475,22 +260,19 @@ int DataQueue::PromoteMatching(const PunctPattern& pattern) {
 
 Status DataQueue::SnapshotContents(SnapshotWriter* w) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (lockfree()) {
-    // Move everything published into the staging deque so it can be
-    // walked under mu_; later pops serve the deque first, so nothing
-    // is lost or reordered.
-    DrainRingToSideLocked();
-    side_count_.store(side_pages_.size(), std::memory_order_release);
-  }
-  std::deque<Page>& queued = lockfree() ? side_pages_ : pages_;
-  uint32_t count = static_cast<uint32_t>(queued.size());
+  // Move everything published into the staging deque so it can be
+  // walked under mu_; later pops serve the deque first, so nothing is
+  // lost or reordered.
+  DrainChainToSideLocked();
+  side_count_.store(side_pages_.size(), std::memory_order_release);
+  uint32_t count = static_cast<uint32_t>(side_pages_.size());
   if (!open_page_.empty()) ++count;
   w->WriteU32(count);
-  for (Page& p : queued) WritePageElements(w, p);
+  for (Page& p : side_pages_) WritePageElements(w, p);
   // The open page is producer-local, but the quiesced contract (both
   // endpoints parked at the barrier) makes reading it race-free. At
   // full alignment it is empty anyway — the barrier punctuation
-  // flushed it — so this only fires for deque edges checkpointed by
+  // flushed it — so this only fires for edges checkpointed by
   // single-threaded harness drivers mid-page.
   if (!open_page_.empty()) WritePageElements(w, open_page_);
   return Status::OK();
@@ -505,43 +287,26 @@ Status DataQueue::RestoreContents(SnapshotReader* r) {
     NSTREAM_RETURN_NOT_OK(ReadPageInto(r, &p));
     if (p.empty()) continue;
     p.set_flush_reason(FlushReason::kExplicit);
-    if (lockfree()) {
-      side_pages_.push_back(std::move(p));
-    } else {
-      pages_.push_back(std::move(p));
-    }
+    side_pages_.push_back(std::move(p));
   }
-  if (lockfree()) {
-    side_count_.store(side_pages_.size(), std::memory_order_release);
-  }
+  side_count_.store(side_pages_.size(), std::memory_order_release);
   return Status::OK();
 }
 
 // ---- Introspection ----
 
 bool DataQueue::Drained() const {
-  if (lockfree()) {
-    // eos_pushed_ is set after the final flush, so observing it means
-    // the open page is empty and everything is in the ring/chain or
-    // the side deque.
-    return eos_pushed_.load(std::memory_order_acquire) &&
-           side_count_.load(std::memory_order_acquire) == 0 &&
-           (chain_ != nullptr ? chain_->ApproxEmpty()
-                              : ring_->ApproxEmpty());
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return eos_pushed_.load(std::memory_order_relaxed) && pages_.empty() &&
-         open_page_.empty();
+  // eos_pushed_ is set after the final flush, so observing it means the
+  // open page is empty and everything is in the chain or the side
+  // deque.
+  return eos_pushed_.load(std::memory_order_acquire) &&
+         side_count_.load(std::memory_order_acquire) == 0 &&
+         chain_.ApproxEmpty();
 }
 
 bool DataQueue::HasPage() const {
-  if (lockfree()) {
-    return side_count_.load(std::memory_order_acquire) > 0 ||
-           !(chain_ != nullptr ? chain_->ApproxEmpty()
-                               : ring_->ApproxEmpty());
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return !pages_.empty();
+  return side_count_.load(std::memory_order_acquire) > 0 ||
+         !chain_.ApproxEmpty();
 }
 
 DataQueueStats DataQueue::stats() const {

@@ -2,46 +2,39 @@
 // connection (Fig. 3). Producer-side page assembly with
 // punctuation-triggered flush; consumer-side page pops.
 //
-// The queue is a façade over three interchangeable transports:
+// Transport: pages move through an UNBOUNDED lock-free
+// single-producer/single-consumer chain of ring segments
+// (stream/spsc_chain.h). A push or pop costs one release-store in the
+// common case, and pushes never block: no executor may park a producer
+// on backpressure (on a fixed worker pool a parked producer slice can
+// starve the very consumer task that would drain the queue). Every
+// plan edge is SPSC by construction, because QueryPlan::Connect wires
+// at most one edge per port.
 //
-//   * kMutexDeque — the original mutex + condvar deque. Safe for any
-//     number of pushing/popping threads and for unbounded queues; any
-//     DataQueue constructed outside a finalized plan uses it.
-//   * kSpscRing — a bounded lock-free single-producer/single-consumer
-//     ring of pages (stream/spsc_ring.h). Plan edges are tagged SPSC
-//     at wiring time (PlanRuntime::Create) when they have exactly one
-//     producer port and one consumer port, which under the
-//     thread-per-operator executor means exactly one pushing and one
-//     popping thread. Pushes and pops then cost one atomic
-//     release-store each; the mutex survives only on slow paths
-//     (backpressure waits, purge/promote surgery, notifier install).
-//   * kSpscChain — an UNBOUNDED lock-free SPSC chain of ring segments
-//     (stream/spsc_chain.h). Same thread contract as the ring but
-//     pushes never block, which is what the deterministic
-//     single-threaded executors need (their round-robin scheduler
-//     must not park on backpressure). SyncExecutor tags every edge
-//     with it (one thread trivially satisfies SPSC) and additionally
-//     sets assume_single_thread so feedback surgery may reach into
-//     the producer-side open page exactly as the deque did.
+// Thread contract: all producer-side calls (PushTuple/PushPunctuation/
+// PushEos/PushPage/Flush/OpenPageArena) come from one logical
+// producer; all consumer-side calls (TryPopPage/PurgeMatching/
+// PromoteMatching) from one logical consumer. Drained/HasPage/stats
+// are safe from any thread. Feedback-exploit surgery is consumer-side
+// because exploiters purge/promote their own *input* queues, so the
+// executors satisfy the contract by construction.
+// DataQueueOptions::assume_single_thread picks between the two ways
+// the sides may be placed:
 //
-// SPSC thread contract: all producer-side calls (PushTuple/
-// PushPunctuation/PushEos/PushPage/Flush) from one thread; all
-// consumer-side calls (TryPopPage/PopPageBlocking/PurgeMatching/
-// PromoteMatching) from one thread. Drained/HasPage/stats are safe
-// from any thread. Feedback-exploit surgery is consumer-side because
-// exploiters purge/promote their own *input* queues, so the executors
-// satisfy the contract by construction.
+//   * false (the default; PooledExecutor) — producer and consumer may
+//     run on different threads. The producer's open page is
+//     producer-local, so purge/promote reach only published pages.
+//   * true (SyncExecutor) — producer and consumer are one thread, so
+//     purge/promote also reach into the producer-side open page.
 //
-// Punctuation/EOS ordering is transport-independent: pages enter the
-// queue in push order and leave in pop order on both transports, and a
-// punctuation still flushes its page immediately, so a punctuation is
-// only ever a page's last element either way.
+// Punctuation/EOS ordering: pages leave in push order, and a
+// punctuation flushes its page immediately, so a punctuation is only
+// ever a page's last element.
 
 #ifndef NSTREAM_STREAM_DATA_QUEUE_H_
 #define NSTREAM_STREAM_DATA_QUEUE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -53,19 +46,11 @@
 #include "common/status.h"
 #include "stream/page.h"
 #include "stream/spsc_chain.h"
-#include "stream/spsc_ring.h"
 
 namespace nstream {
 
 class SnapshotReader;
 class SnapshotWriter;
-
-/// Which structure moves pages from producer to consumer.
-enum class DataQueueTransport : uint8_t {
-  kMutexDeque = 0,  // lock-based, any threading, unbounded allowed
-  kSpscRing,        // lock-free, exactly 1 producer + 1 consumer thread
-  kSpscChain,       // lock-free, SPSC threads, unbounded (ring chain)
-};
 
 /// Tuning knobs for one queue.
 struct DataQueueOptions {
@@ -73,21 +58,12 @@ struct DataQueueOptions {
   // tuples into pages to limit context switching; bench_queue measures
   // the effect of this knob.
   int page_size = 128;
-  // Maximum queued pages before the producer blocks (threaded executor
-  // backpressure). <= 0 means unbounded (single-threaded executors).
-  // The SPSC ring rounds this bound up to a power of two.
-  int max_pages = 0;
-  DataQueueTransport transport = DataQueueTransport::kMutexDeque;
-  // Ring capacity (pages) used when transport is kSpscRing and
-  // max_pages <= 0 — a ring is inherently bounded.
-  int spsc_default_capacity = 64;
-  // Segment capacity (pages) for the kSpscChain transport, which
-  // ignores max_pages (the chain is unbounded by design).
+  // Pages per chain segment. The chain is unbounded, so this only sets
+  // how often segments are linked and retired (tests shrink it to
+  // force segment turnover).
   int chain_segment_pages = 16;
-  // Producer and consumer are the same thread (single-threaded
-  // executors). Lets OpenPageArena hand out the open page's arena on
-  // any transport and lets purge/promote surgery reach the open page
-  // on the chain transport, deque-style.
+  // Producer and consumer are the same thread (SyncExecutor). Lets
+  // purge/promote surgery reach the producer-side open page.
   bool assume_single_thread = false;
 };
 
@@ -112,8 +88,6 @@ class DataQueue {
  public:
   explicit DataQueue(DataQueueOptions options = {});
 
-  DataQueueTransport transport() const { return options_.transport; }
-
   // ---- Producer side ----
   void PushTuple(Tuple t);
   /// Punctuation is appended and the page is flushed immediately.
@@ -132,34 +106,30 @@ class DataQueue {
   /// Force the open page (if any) into the queue.
   void Flush();
   /// Arena of the producer-side open page, for building emitted tuples
-  /// in place (zero per-tuple heap traffic) — or null when the
-  /// transport cannot expose it safely (mutex deque under real
-  /// threads: consumer-side surgery may touch the open page under the
-  /// lock) or page arenas are globally disabled. Producer-side call;
-  /// the returned arena is valid until this side's next flush, so
-  /// tuples built from it must be pushed before any other queue call.
+  /// in place (zero per-tuple heap traffic) — or null when page arenas
+  /// are globally disabled. Producer-side call; the returned arena is
+  /// valid until this side's next flush, so tuples built from it must
+  /// be pushed before any other queue call.
   TupleArena* OpenPageArena();
 
   // ---- Consumer side ----
   /// Non-blocking pop; nullopt when no complete page is queued.
   std::optional<Page> TryPopPage();
-  /// Blocking pop; returns nullopt only when the queue is finished
-  /// (EOS seen) and drained, or `cancel` flips.
-  std::optional<Page> PopPageBlocking(const std::function<bool()>& cancel);
 
   /// Remove queued (not yet popped) tuples matching `pattern`.
   /// Punctuations and element order are untouched, so punctuation
   /// semantics are preserved. Returns the number of tuples removed.
   /// Used by assumed-feedback exploiters purging pending input.
   ///
-  /// On an SPSC edge this is the consumer-side slow path: published
-  /// pages are drained out of the ring into a consumer-side staging
-  /// deque (served before the ring by subsequent pops, preserving
-  /// order) and purged there. The producer's open page cannot be
-  /// touched from the consumer thread, so tuples not yet published
-  /// are not purged — they arrive and are handled by the exploiter's
-  /// guards instead, which keeps feedback-exploit semantics sound
-  /// (purging is an optimization, never required for correctness).
+  /// This is the consumer-side slow path: published pages are drained
+  /// out of the chain into a consumer-side staging deque (served
+  /// before the chain by subsequent pops, preserving order) and purged
+  /// there. Unless the queue is single-threaded, the producer's open
+  /// page cannot be touched from the consumer side, so tuples not yet
+  /// published are not purged — they arrive and are handled by the
+  /// exploiter's guards instead, which keeps feedback-exploit
+  /// semantics sound (purging is an optimization, never required for
+  /// correctness).
   int PurgeMatching(const PunctPattern& pattern);
 
   /// Within each queued page, stably move tuples matching `pattern`
@@ -167,7 +137,7 @@ class DataQueue {
   /// punctuation can only be a page's last element, so reordering
   /// within a page never moves a tuple across a punctuation. Used by
   /// desired-feedback exploiters. Returns the number of tuples moved.
-  /// Same consumer-side slow path as PurgeMatching on SPSC edges.
+  /// Same consumer-side slow path as PurgeMatching.
   int PromoteMatching(const PunctPattern& pattern);
 
   /// True once EOS has been pushed and every page consumed.
@@ -176,13 +146,13 @@ class DataQueue {
   bool HasPage() const;
 
   /// Called (outside the lock) whenever a page becomes available;
-  /// the threaded executor uses it to wake the consumer thread. Pages
+  /// the pooled scheduler uses it to wake the consumer task. Pages
   /// pushed before the notifier is installed are simply waiting in the
   /// queue — install-then-poll sees them without any notification.
   void SetConsumerNotifier(std::function<void()> fn);
 
   // ---- Consumer-affinity tripwire ----
-  // The SPSC transports are only sound when one logical consumer
+  // The SPSC chain is only sound when one logical consumer
   // drains the queue. Under the pooled scheduler that consumer is a
   // *task* that migrates between workers, so thread identity cannot
   // police the contract; instead the scheduler pins each queue to its
@@ -213,25 +183,24 @@ class DataQueue {
   /// contract: the edge is QUIESCED — producer and consumer are both
   /// parked at a checkpoint barrier — so the producer-local open page
   /// is stable and safe to read from the (consumer-side) caller.
-  /// Non-destructive: on lock-free transports published pages are
-  /// drained into the consumer staging deque (served before the ring
-  /// by later pops, order preserved) and serialized in place; the
-  /// deque transport serializes pages_ + open_page_ directly.
+  /// Non-destructive: published pages are drained into the consumer
+  /// staging deque (served before the chain by later pops, order
+  /// preserved) and serialized in place, followed by the open page.
   Status SnapshotContents(SnapshotWriter* w);
   /// Rebuild queued pages from a snapshot, ahead of any pop. The
-  /// restored pages land in the consumer staging deque (lock-free
-  /// transports) or pages_ (deque transport). eos_pushed_ is not part
-  /// of the snapshot: an unconsumed EOS is impossible at barrier
-  /// alignment (EOS ports are exempt from alignment and stay so).
+  /// restored pages land in the consumer staging deque. eos_pushed_ is
+  /// not part of the snapshot: an unconsumed EOS is impossible at
+  /// barrier alignment (EOS ports are exempt from alignment and stay
+  /// so).
   Status RestoreContents(SnapshotReader* r);
 
   DataQueueStats stats() const;
 
  private:
-  // Internal counters. Each is written either under mu_ (deque
-  // transport) or by exactly one thread (SPSC transport), so a relaxed
-  // load+store increment — a plain add, no lock prefix — is exact;
-  // atomics make the cross-thread stats() snapshot race-free.
+  // Internal counters. Each is written by exactly one side (producer
+  // or consumer), so a relaxed load+store increment — a plain add, no
+  // lock prefix — is exact; atomics make the cross-thread stats()
+  // snapshot race-free.
   struct AtomicStats {
     std::atomic<uint64_t> tuples_pushed{0};
     std::atomic<uint64_t> puncts_pushed{0};
@@ -247,65 +216,45 @@ class DataQueue {
             std::memory_order_relaxed);
   }
 
-  bool spsc() const {
-    return options_.transport == DataQueueTransport::kSpscRing;
-  }
-  bool chain() const {
-    return options_.transport == DataQueueTransport::kSpscChain;
-  }
-  /// Transports with a producer-local open page and lock-free hops.
-  bool lockfree() const { return spsc() || chain(); }
-  void FlushLocked(FlushReason reason);  // deque transport; mu_ held
   void CountFlush(FlushReason reason);
-  // Lock-free producer side: seal the open page / push a ready page
-  // into the ring or chain; the bounded ring blocks (timed re-check)
-  // while full, the chain never blocks.
-  void FlushToRing(FlushReason reason);
-  void PushRing(Page&& page);
-  // Lock-free consumer side: move every published page into
-  // side_pages_ so purge/promote can operate under mu_. Requires mu_
-  // held; must be called from the consumer thread.
-  void DrainRingToSideLocked();
-  std::optional<Page> TryPopSpsc();
+  // Producer side: move the open page into the chain. SealOpenPage
+  // returns false (and does nothing) when the open page is empty and
+  // never notifies; FlushOpenPage also wakes the consumer.
+  bool SealOpenPage(FlushReason reason);
+  void FlushOpenPage(FlushReason reason);
+  // Consumer side: move every published page into side_pages_ so
+  // purge/promote/snapshot can operate on them. Requires mu_ held.
+  void DrainChainToSideLocked();
   void NotifyConsumer();
   void CheckConsumerAffinity() const;
 
+  // Guards side_pages_ and notifier_storage_.
   mutable std::mutex mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   DataQueueOptions options_;
-  // Producer-side page under assembly. Deque transport: guarded by
-  // mu_. SPSC transport: producer-thread-local, never locked.
+  // Producer-side page under assembly; producer-local, never locked.
   Page open_page_;
-  // Deque transport storage.
-  std::deque<Page> pages_;
-  // Lock-free transport storage (exactly one of ring_/chain_ per the
-  // transport tag), plus the consumer-side staging deque (guarded by
-  // mu_) that purge/promote surgery drains published pages into.
-  // side_count_ lets pops skip the lock when no surgery has happened
-  // (the overwhelmingly common case).
-  std::unique_ptr<SpscRing<Page>> ring_;
-  std::unique_ptr<SpscChain<Page>> chain_;
+  SpscChain<Page> chain_;
+  // Consumer-side staging deque that purge/promote surgery and
+  // snapshots drain published pages into; pops serve it before the
+  // chain. side_count_ lets pops skip the lock when no surgery has
+  // happened (the overwhelmingly common case).
   std::deque<Page> side_pages_;
   std::atomic<size_t> side_count_{0};
-  std::atomic<bool> producer_waiting_{false};
-  std::atomic<bool> consumer_waiting_{false};
   std::atomic<bool> eos_pushed_{false};
   std::atomic<uint64_t> expected_consumer_{0};
   mutable std::atomic<uint64_t> affinity_violations_{0};
   AtomicStats stats_;
-  // SPSC single-writer mirrors of the hottest counters: each side
-  // keeps the running value in a plain field it alone owns and
-  // publishes with one relaxed store, instead of paying an atomic
-  // load+store per element/page. Unused by the deque transport
-  // (multi-writer, so it increments the atomics under mu_).
-  uint64_t spsc_tuples_pushed_ = 0;   // producer-owned
-  uint64_t spsc_pages_whole_ = 0;     // producer-owned
-  uint64_t spsc_pages_popped_ = 0;    // consumer-owned
-  // The notifier is installed (rarely — once per run by the threaded
-  // executor) under mu_ but read lock-free on every push: the current
-  // function lives behind an atomic pointer, and superseded functions
-  // are parked in notifier_storage_ until destruction so a concurrent
+  // Single-writer mirrors of the hottest counters: each side keeps the
+  // running value in a plain field it alone owns and publishes with
+  // one relaxed store, instead of paying an atomic load+store per
+  // element/page.
+  uint64_t tuples_pushed_ = 0;       // producer-owned
+  uint64_t pages_pushed_whole_ = 0;  // producer-owned
+  uint64_t pages_popped_ = 0;        // consumer-owned
+  // The notifier is installed (rarely — once per run by the executor)
+  // under mu_ but read lock-free on every push: the current function
+  // lives behind an atomic pointer, and superseded functions are
+  // parked in notifier_storage_ until destruction so a concurrent
   // caller can never see a freed function.
   std::atomic<const std::function<void()>*> consumer_notifier_{nullptr};
   std::vector<std::unique_ptr<std::function<void()>>> notifier_storage_;

@@ -1,12 +1,12 @@
 // SpscChain: an UNBOUNDED single-producer/single-consumer queue built
-// as a linked chain of bounded lock-free SpscRing segments.
+// as a linked chain of bounded lock-free SpscRing segments. It is
+// DataQueue's transport on every plan edge.
 //
-// The bounded SpscRing gave threaded-executor edges a contention-free
-// transport, but the single-threaded executors (SyncExecutor) kept the
-// mutex deque because they require unbounded queues — a deterministic
-// round-robin scheduler cannot block on backpressure. The chain closes
-// that gap: pushes never fail (a full segment links a fresh one), pops
-// retire drained segments, and both sides keep the ring's
+// Neither executor may block a producer on backpressure — a
+// deterministic round-robin scheduler cannot, and on a fixed worker
+// pool a parked producer slice can starve the consumer that would
+// drain the queue. So pushes never fail (a full segment links a fresh
+// one), pops retire drained segments, and both sides keep the ring's
 // one-release-store cost in the common case.
 //
 // Design notes:
@@ -24,8 +24,9 @@
 //
 // Thread contract: Push from exactly one producer thread, TryPop from
 // exactly one consumer thread (the same thread may do both — the
-// single-threaded executors' shape). ApproxEmpty/ApproxSize from any
-// thread.
+// SyncExecutor's shape). Under the pooled scheduler "thread" means
+// task: a task runs on one worker at a time and migrates through the
+// scheduler mutex. ApproxEmpty/ApproxSize from any thread.
 
 #ifndef NSTREAM_STREAM_SPSC_CHAIN_H_
 #define NSTREAM_STREAM_SPSC_CHAIN_H_

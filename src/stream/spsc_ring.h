@@ -1,13 +1,11 @@
-// SpscRing: a bounded lock-free single-producer/single-consumer ring.
+// SpscRing: a bounded lock-free single-producer/single-consumer ring,
+// the segment of SpscChain (stream/spsc_chain.h), which DataQueue uses
+// to move pages along every plan edge.
 //
-// Under the thread-per-operator executor every plan edge is
-// single-producer/single-consumer (the producer operator pushes from
-// its own thread, the consumer pops from its own), which is exactly
-// the shape a lock-free ring exploits: one release-store per push, one
-// release-store per pop, no mutex, no condition variable, no per-page
-// system call. DataQueue uses a ring of Pages as its fast transport on
-// edges the plan tags SPSC (see DataQueueTransport); the mutex deque
-// remains for everything whose threading the engine cannot prove.
+// Every plan edge has exactly one producer and one consumer, which is
+// exactly the shape a lock-free ring exploits: one release-store per
+// push, one release-store per pop, no mutex, no condition variable, no
+// per-page system call.
 //
 // Design notes:
 //   * Capacity is rounded up to a power of two so the index wrap is a
@@ -18,10 +16,10 @@
 //     refreshes it only when the ring looks full/empty — the common
 //     case does one relaxed load + one release store, touching no
 //     cache line owned by the other thread.
-//   * The ring itself never blocks. Waiting (consumer wake-up on push,
-//     producer backpressure on full) belongs to the caller — DataQueue
-//     layers it on via its consumer-notifier hook and timed waits, so
-//     the ring stays obstruction-free and trivially testable.
+//   * The ring itself never blocks. A full ring is the caller's to
+//     handle — SpscChain links a fresh segment — and consumer wake-up
+//     on push is DataQueue's consumer-notifier hook, so the ring stays
+//     obstruction-free and trivially testable.
 //
 // Thread contract: TryPush from exactly one producer thread, TryPop
 // from exactly one consumer thread. ApproxEmpty/ApproxSize are safe

@@ -11,8 +11,8 @@ namespace {
 // page generation bump-allocates fresh bytes, and the first-touch
 // cost of that cold memory erases most of what skipping per-tuple
 // malloc/free bought. The pool is shared across threads (pages are
-// produced and consumed on different threads under the threaded
-// executor): a mutex is plenty, since traffic is a few chunks per
+// produced and consumed on different workers under the pooled
+// scheduler): a mutex is plenty, since traffic is a few chunks per
 // page, not per tuple.
 class ChunkPool {
  public:

@@ -77,11 +77,13 @@ TEST(SimExecutorTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(ThreadedExecutorTest, PassThroughDeliversEverything) {
+TEST(PooledExecutorTest, PassThroughDeliversEverything) {
   LinearPlan lp(TwoCol(), SmallStream());
   lp.Add(Select::FromPattern("sel", P("[>=2,*]")));
   CollectorSink* sink = lp.Finish();
-  ASSERT_TRUE(lp.RunThreaded().ok());
+  PooledExecutorOptions opts;
+  opts.pool_size = 2;
+  ASSERT_TRUE(lp.RunPooled(opts).ok());
   EXPECT_EQ(sink->consumed(), 8u);
 }
 

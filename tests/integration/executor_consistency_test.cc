@@ -1,7 +1,7 @@
 // Cross-executor consistency: the same plan over the same workload
-// must produce the same result multiset under the synchronous,
-// discrete-event, thread-per-operator, and pooled executors (order
-// may vary).
+// must produce the same result multiset under the synchronous and
+// discrete-event executors, the pooled scheduler at several pool
+// sizes, and the seeded scheduling harness (order may vary).
 
 #include <gtest/gtest.h>
 
@@ -68,9 +68,13 @@ std::multiset<std::string> RunUnder(int executor) {
     case 1:
       st = lp.RunSim();
       break;
-    case 2:
-      st = lp.RunThreaded();
+    case 2: {
+      // One worker per operator: every queue hop can cross threads.
+      PooledExecutorOptions opts;
+      opts.pool_size = 4;
+      st = lp.RunPooled(opts);
       break;
+    }
     case 3: {
       PooledExecutorOptions opts;
       opts.pool_size = 2;
@@ -100,11 +104,11 @@ TEST(ExecutorConsistency, SyncVsSim) {
   EXPECT_EQ(RunUnder(0), RunUnder(1));
 }
 
-TEST(ExecutorConsistency, SyncVsThreaded) {
+TEST(ExecutorConsistency, SyncVsPooledWorkerPerOperator) {
   EXPECT_EQ(RunUnder(0), RunUnder(2));
 }
 
-TEST(ExecutorConsistency, ThreadedIsStableAcrossRuns) {
+TEST(ExecutorConsistency, PooledIsStableAcrossRuns) {
   EXPECT_EQ(RunUnder(2), RunUnder(2));
 }
 
@@ -117,15 +121,14 @@ TEST(ExecutorConsistency, SyncVsSchedHarness) {
 }
 
 // The Experiment 1 plan with live PACE feedback — the architecture
-// demo. Formerly ran under ThreadedExecutor with real sleeps
-// (ChargePolicy::kSleep + wall-clock pacing), which made the timing
-// dynamics hostage to box speed and sleep jitter. Now it runs on the
-// scheduling harness in VIRTUAL time: arrivals release on a
-// VirtualClock and each ChargeMs busy-parks the charged operator for
-// that long, so IMPUTE genuinely falls behind its free neighbors and
-// the divergence dynamics are exact arithmetic — reproducible from
-// the harness seed.
-TEST(ThreadedFeedback, ImputationPlanExerciseControlChannel) {
+// demo. Real sleeps (ChargePolicy::kSleep + wall-clock pacing) would
+// make the timing dynamics hostage to box speed and sleep jitter, so
+// it runs on the scheduling harness in VIRTUAL time: arrivals release
+// on a VirtualClock and each ChargeMs busy-parks the charged operator
+// for that long, so IMPUTE genuinely falls behind its free neighbors
+// and the divergence dynamics are exact arithmetic — reproducible
+// from the harness seed.
+TEST(HarnessFeedback, ImputationPlanExerciseControlChannel) {
   ImputationPlanConfig config;
   config.stream.num_tuples = 300;
   config.stream.inter_arrival_ms = 1;  // dense stream

@@ -3,7 +3,8 @@
 // that lived in arena bytes), staged/queued arena pages must survive
 // feedback surgery, and whole pipelines must produce identical result
 // multisets with page arenas enabled and disabled — on the batched
-// and element-wise paths, under the sync and threaded executors.
+// and element-wise paths, under the sync executor and the pooled
+// scheduler.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "exec/scheduler.h"
 #include "exec/sync_executor.h"
-#include "exec/threaded_executor.h"
 #include "ops/project.h"
 #include "ops/select.h"
 #include "ops/sink.h"
@@ -66,7 +67,7 @@ struct JoinRows {
 };
 
 JoinRows RunStringJoin(int n, bool left_outer, bool batched,
-                       bool threaded) {
+                       bool pooled) {
   QueryPlan plan;
   auto* l = plan.AddOp(std::make_unique<VectorSource>(
       "L", SideSchema("lp"), AtMillis(StringSide(n, "left", 9, 40))));
@@ -99,8 +100,10 @@ JoinRows RunStringJoin(int n, bool left_outer, bool batched,
   EXPECT_TRUE(plan.Connect(*pr, 0, *join, 1).ok());
   EXPECT_TRUE(plan.Connect(*join, *sink).ok());
   Status st;
-  if (threaded) {
-    ThreadedExecutor exec;
+  if (pooled) {
+    PooledExecutorOptions opts;
+    opts.pool_size = 2;
+    PooledExecutor exec(opts);
     st = exec.Run(&plan);
   } else {
     SyncExecutorOptions opts;
@@ -119,7 +122,7 @@ JoinRows RunStringJoin(int n, bool left_outer, bool batched,
 
 TEST(ArenaLifetimeTest, PromotedTableTuplesOutliveSourcePages) {
   JoinRows with = RunStringJoin(200, /*left_outer=*/false,
-                                /*batched=*/true, /*threaded=*/false);
+                                /*batched=*/true, /*pooled=*/false);
   EXPECT_GT(with.joined, 0u);
   // Every row's string payloads must have survived promotion intact.
   for (const std::string& row : with.rows) {
@@ -136,7 +139,7 @@ TEST(ArenaLifetimeTest, LeftOuterEmissionFromPromotedEntries) {
   // input page (and its arena) is gone — they read only the promoted
   // table copies.
   JoinRows with = RunStringJoin(150, /*left_outer=*/true,
-                                /*batched=*/true, /*threaded=*/false);
+                                /*batched=*/true, /*pooled=*/false);
   ScopedTupleArenasEnabled off(false);
   JoinRows without = RunStringJoin(150, true, true, false);
   EXPECT_EQ(with.rows, without.rows);
@@ -149,12 +152,12 @@ TEST(ArenaLifetimeTest, LeftOuterEmissionFromPromotedEntries) {
   EXPECT_GT(outer_rows, 0u);
 }
 
-TEST(ArenaLifetimeTest, ThreadedExecutorSameRows) {
+TEST(ArenaLifetimeTest, PooledExecutorSameRows) {
   JoinRows sync_rows = RunStringJoin(150, /*left_outer=*/true,
-                                     /*batched=*/true, /*threaded=*/false);
-  JoinRows threaded_rows = RunStringJoin(150, true, true,
-                                         /*threaded=*/true);
-  EXPECT_EQ(sync_rows.rows, threaded_rows.rows);
+                                     /*batched=*/true, /*pooled=*/false);
+  JoinRows pooled_rows = RunStringJoin(150, true, true,
+                                       /*pooled=*/true);
+  EXPECT_EQ(sync_rows.rows, pooled_rows.rows);
 }
 
 // ---------------------------------------------------------------------------

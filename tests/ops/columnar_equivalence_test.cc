@@ -6,7 +6,7 @@
 // mid-page positions drive Select / Pace / Project chains, the
 // symmetric hash join (columnar emit + columnar adjacency probe,
 // including a forced-collision storm through key_hash_override), and
-// WindowAggregate — under the sync and threaded executors.
+// WindowAggregate — under the sync executor and the pooled scheduler.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "exec/scheduler.h"
 #include "exec/sync_executor.h"
-#include "exec/threaded_executor.h"
 #include "ops/pace.h"
 #include "ops/project.h"
 #include "ops/select.h"
@@ -110,7 +110,7 @@ std::vector<TimedElement> RandomChainStream(std::mt19937* rng, int n) {
   return out;
 }
 
-Rows RunChain(const std::vector<TimedElement>& elems, bool threaded) {
+Rows RunChain(const std::vector<TimedElement>& elems, bool pooled) {
   testing_util::LinearPlan plan(ChainSchema(), elems);
   // Permuting projection: its paged path stages a fresh output page
   // (columnar when enabled) per input page.
@@ -129,8 +129,10 @@ Rows RunChain(const std::vector<TimedElement>& elems, bool threaded) {
   plan.Add(std::make_unique<Project>("remap", std::vector<int>{1, 2, 0, 0}));
   CollectorSink* sink = plan.Finish();
   Status st;
-  if (threaded) {
-    st = plan.RunThreaded();
+  if (pooled) {
+    PooledExecutorOptions opts;
+    opts.pool_size = 2;
+    st = plan.RunPooled(opts);
   } else {
     SyncExecutorOptions opts;
     opts.queue.page_size = 16;
@@ -145,18 +147,18 @@ TEST(ColumnarEquivalenceTest, SelectPaceProjectChain) {
   for (int round = 0; round < 5; ++round) {
     std::vector<TimedElement> elems = RandomChainStream(&rng, 300);
     Rows rows = AllConfigsAgree(
-        [&] { return RunChain(elems, /*threaded=*/false); }, "chain");
+        [&] { return RunChain(elems, /*pooled=*/false); }, "chain");
     EXPECT_GT(rows.size(), 0u);
   }
 }
 
-TEST(ColumnarEquivalenceTest, SelectPaceProjectChainThreaded) {
+TEST(ColumnarEquivalenceTest, SelectPaceProjectChainPooled) {
   std::mt19937 rng(424242);
   std::vector<TimedElement> elems = RandomChainStream(&rng, 400);
   Rows sync_rows = RunChain(elems, false);
-  Rows threaded_rows = AllConfigsAgree(
-      [&] { return RunChain(elems, /*threaded=*/true); }, "chain-threaded");
-  EXPECT_EQ(sync_rows, threaded_rows);
+  Rows pooled_rows = AllConfigsAgree(
+      [&] { return RunChain(elems, /*pooled=*/true); }, "chain-pooled");
+  EXPECT_EQ(sync_rows, pooled_rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -189,7 +191,7 @@ std::vector<Tuple> RandomJoinSide(std::mt19937* rng, int n,
 
 Rows RunJoin(const std::vector<Tuple>& left,
              const std::vector<Tuple>& right, bool left_outer,
-             bool collide, ProbeGrouping grouping, bool threaded) {
+             bool collide, ProbeGrouping grouping, bool pooled) {
   QueryPlan plan;
   auto* l = plan.AddOp(std::make_unique<VectorSource>(
       "L", JoinSide(), AtMillis(left)));
@@ -226,8 +228,10 @@ Rows RunJoin(const std::vector<Tuple>& left,
   EXPECT_TRUE(plan.Connect(*pr, 0, *join, 1).ok());
   EXPECT_TRUE(plan.Connect(*join, *sink).ok());
   Status st;
-  if (threaded) {
-    ThreadedExecutor exec;
+  if (pooled) {
+    PooledExecutorOptions opts;
+    opts.pool_size = 2;
+    PooledExecutor exec(opts);
     st = exec.Run(&plan);
   } else {
     SyncExecutorOptions opts;
@@ -247,7 +251,7 @@ TEST(ColumnarEquivalenceTest, JoinAllLayoutConfigs) {
     Rows rows = AllConfigsAgree(
         [&] {
           return RunJoin(left, right, left_outer, /*collide=*/false,
-                         ProbeGrouping::kAdjacent, /*threaded=*/false);
+                         ProbeGrouping::kAdjacent, /*pooled=*/false);
         },
         left_outer ? "join-outer" : "join-inner");
     EXPECT_GT(rows.size(), 0u);
@@ -291,26 +295,26 @@ TEST(ColumnarEquivalenceTest, JoinNonAdjacentGroupingsMaterialize) {
     Rows rows = AllConfigsAgree(
         [&] {
           return RunJoin(left, right, /*left_outer=*/true,
-                         /*collide=*/false, g, /*threaded=*/false);
+                         /*collide=*/false, g, /*pooled=*/false);
         },
         "join-grouping");
     EXPECT_GT(rows.size(), 0u);
   }
 }
 
-TEST(ColumnarEquivalenceTest, JoinThreadedExecutor) {
+TEST(ColumnarEquivalenceTest, JoinPooledExecutor) {
   std::mt19937 rng(5150);
   std::vector<Tuple> left = RandomJoinSide(&rng, 120, "left");
   std::vector<Tuple> right = RandomJoinSide(&rng, 120, "right");
   Rows sync_rows = RunJoin(left, right, true, false,
-                           ProbeGrouping::kAdjacent, /*threaded=*/false);
-  Rows threaded_rows = AllConfigsAgree(
+                           ProbeGrouping::kAdjacent, /*pooled=*/false);
+  Rows pooled_rows = AllConfigsAgree(
       [&] {
         return RunJoin(left, right, true, false,
-                       ProbeGrouping::kAdjacent, /*threaded=*/true);
+                       ProbeGrouping::kAdjacent, /*pooled=*/true);
       },
-      "join-threaded");
-  EXPECT_EQ(sync_rows, threaded_rows);
+      "join-pooled");
+  EXPECT_EQ(sync_rows, pooled_rows);
 }
 
 // ---------------------------------------------------------------------------

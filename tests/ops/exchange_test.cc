@@ -3,7 +3,7 @@
 // early and no duplicate emission at the merge), feedback relayed
 // through the partition boundary purging every shard, and randomized
 // result-equivalence of the 4-shard topology against the 1-shard
-// baseline under both the sync and threaded executors.
+// baseline under both the sync executor and the pooled scheduler.
 
 #include "ops/exchange.h"
 
@@ -15,8 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/scheduler.h"
 #include "exec/sync_executor.h"
-#include "exec/threaded_executor.h"
 #include "ops/sink.h"
 #include "ops/vector_source.h"
 #include "testing/test_util.h"
@@ -456,7 +456,7 @@ struct PartitionedRun {
 };
 
 PartitionedRun RunPartitioned(const Workload& w, int shards,
-                              bool threaded, bool window_join,
+                              bool pooled, bool window_join,
                               bool collide_join_hash) {
   QueryPlan plan;
   auto* left = plan.AddOp(std::make_unique<VectorSource>(
@@ -493,10 +493,13 @@ PartitionedRun RunPartitioned(const Workload& w, int shards,
   EXPECT_TRUE(plan.Connect(pj.value().merge->id(), 0, sink->id(), 0).ok());
 
   Status st;
-  if (threaded) {
-    ThreadedExecutorOptions opts;
+  if (pooled) {
+    // Four workers: the shard tasks run concurrently, so every
+    // exchange fan-out and merge fan-in hop can cross threads.
+    PooledExecutorOptions opts;
+    opts.pool_size = 4;
     opts.max_pages_per_wake = 4;
-    ThreadedExecutor exec(opts);
+    PooledExecutor exec(opts);
     st = exec.Run(&plan);
   } else {
     SyncExecutor exec;
@@ -519,9 +522,9 @@ PartitionedRun RunPartitioned(const Workload& w, int shards,
 TEST(PartitionedJoin, FourShardsMatchOneShardOnRandomizedWorkload) {
   Workload w = RandomWorkload(/*seed=*/1234, /*tuples_per_side=*/1500,
                               /*num_keys=*/97, /*with_punctuation=*/false);
-  PartitionedRun base = RunPartitioned(w, 1, /*threaded=*/false,
+  PartitionedRun base = RunPartitioned(w, 1, /*pooled=*/false,
                                        /*window_join=*/false, false);
-  PartitionedRun sharded = RunPartitioned(w, 4, /*threaded=*/false,
+  PartitionedRun sharded = RunPartitioned(w, 4, /*pooled=*/false,
                                           /*window_join=*/false, false);
   ASSERT_GT(base.sorted_rows.size(), 0u);
   EXPECT_EQ(base.joined, sharded.joined);
@@ -531,9 +534,9 @@ TEST(PartitionedJoin, FourShardsMatchOneShardOnRandomizedWorkload) {
 TEST(PartitionedJoin, WindowedFourShardsMatchOneShardWithPunctuation) {
   Workload w = RandomWorkload(/*seed=*/99, /*tuples_per_side=*/1500,
                               /*num_keys=*/61, /*with_punctuation=*/true);
-  PartitionedRun base = RunPartitioned(w, 1, /*threaded=*/false,
+  PartitionedRun base = RunPartitioned(w, 1, /*pooled=*/false,
                                        /*window_join=*/true, false);
-  PartitionedRun sharded = RunPartitioned(w, 4, /*threaded=*/false,
+  PartitionedRun sharded = RunPartitioned(w, 4, /*pooled=*/false,
                                           /*window_join=*/true, false);
   ASSERT_GT(base.sorted_rows.size(), 0u);
   EXPECT_EQ(base.joined, sharded.joined);
@@ -545,23 +548,23 @@ TEST(PartitionedJoin, WindowedFourShardsMatchOneShardWithPunctuation) {
 TEST(PartitionedJoin, CollisionSafeUnderForcedJoinHashCollisions) {
   Workload w = RandomWorkload(/*seed=*/7, /*tuples_per_side=*/600,
                               /*num_keys=*/37, /*with_punctuation=*/false);
-  PartitionedRun honest = RunPartitioned(w, 4, /*threaded=*/false,
+  PartitionedRun honest = RunPartitioned(w, 4, /*pooled=*/false,
                                          /*window_join=*/false, false);
-  PartitionedRun collided = RunPartitioned(w, 4, /*threaded=*/false,
+  PartitionedRun collided = RunPartitioned(w, 4, /*pooled=*/false,
                                            /*window_join=*/false, true);
   EXPECT_EQ(honest.sorted_rows, collided.sorted_rows);
 }
 
-TEST(PartitionedJoin, ThreadedExecutorMatchesSyncResults) {
+TEST(PartitionedJoin, PooledExecutorMatchesSyncResults) {
   Workload w = RandomWorkload(/*seed=*/5150, /*tuples_per_side=*/1200,
                               /*num_keys=*/73, /*with_punctuation=*/true);
-  PartitionedRun sync_run = RunPartitioned(w, 4, /*threaded=*/false,
+  PartitionedRun sync_run = RunPartitioned(w, 4, /*pooled=*/false,
                                            /*window_join=*/true, false);
-  PartitionedRun threaded_run = RunPartitioned(w, 4, /*threaded=*/true,
-                                               /*window_join=*/true,
-                                               false);
+  PartitionedRun pooled_run = RunPartitioned(w, 4, /*pooled=*/true,
+                                             /*window_join=*/true,
+                                             false);
   ASSERT_GT(sync_run.sorted_rows.size(), 0u);
-  EXPECT_EQ(sync_run.sorted_rows, threaded_run.sorted_rows);
+  EXPECT_EQ(sync_run.sorted_rows, pooled_run.sorted_rows);
 }
 
 TEST(PartitionedJoin, FeedbackRelayedThroughMergePurgesEveryShard) {

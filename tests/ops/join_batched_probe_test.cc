@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "exec/scheduler.h"
 #include "exec/sync_executor.h"
-#include "exec/threaded_executor.h"
 #include "ops/sink.h"
 #include "ops/symmetric_hash_join.h"
 #include "ops/vector_source.h"
@@ -47,7 +47,7 @@ struct RunResult {
 
 RunResult RunJoin(const std::vector<Tuple>& left,
                   const std::vector<Tuple>& right, JoinOptions jopt,
-                  bool threaded = false) {
+                  bool pooled = false) {
   QueryPlan plan;
   auto* l = plan.AddOp(std::make_unique<VectorSource>(
       "L", LeftSchema(), AtMillis(left)));
@@ -60,8 +60,10 @@ RunResult RunJoin(const std::vector<Tuple>& left,
   EXPECT_TRUE(plan.Connect(*r, 0, *join, 1).ok());
   EXPECT_TRUE(plan.Connect(*join, *sink).ok());
   Status st;
-  if (threaded) {
-    ThreadedExecutor exec;
+  if (pooled) {
+    PooledExecutorOptions opts;
+    opts.pool_size = 2;
+    PooledExecutor exec(opts);
     st = exec.Run(&plan);
   } else {
     // Small pages so a run crosses many page boundaries.
@@ -331,14 +333,14 @@ TEST(JoinBatchedProbe, AdaptiveDensityTracksStreamShape) {
   EXPECT_GT(run_and_read_ewma(bursty_l, bursty_r), 0.5);
 }
 
-TEST(JoinBatchedProbe, ThreadedExecutorMatchesSyncResults) {
+TEST(JoinBatchedProbe, PooledExecutorMatchesSyncResults) {
   std::mt19937 rng(43);
   std::vector<Tuple> left = RandomSide(&rng, 200, 10, 1000);
   std::vector<Tuple> right = RandomSide(&rng, 200, 10, 1000);
   JoinOptions jopt = BaseOptions();
-  RunResult sync_run = RunJoin(left, right, jopt, /*threaded=*/false);
-  RunResult threaded_run = RunJoin(left, right, jopt, /*threaded=*/true);
-  EXPECT_EQ(sync_run.rows, threaded_run.rows);
+  RunResult sync_run = RunJoin(left, right, jopt, /*pooled=*/false);
+  RunResult pooled_run = RunJoin(left, right, jopt, /*pooled=*/true);
+  EXPECT_EQ(sync_run.rows, pooled_run.rows);
   EXPECT_GT(sync_run.rows.size(), 0u);
 }
 

@@ -321,10 +321,10 @@ std::vector<std::string> DrainToStrings(DataQueue* q) {
   return out;
 }
 
-void QueueContentsRoundTrip(DataQueueTransport transport) {
+void QueueContentsRoundTrip(bool assume_single_thread) {
   DataQueueOptions opts;
   opts.page_size = 3;
-  opts.transport = transport;
+  opts.assume_single_thread = assume_single_thread;
   DataQueue q(opts);
   for (int i = 0; i < 7; ++i) {
     q.PushTuple(TupleBuilder().I64(i).I64(i * 10).Build());
@@ -348,12 +348,12 @@ void QueueContentsRoundTrip(DataQueueTransport transport) {
   EXPECT_EQ(DrainToStrings(&restored), original);
 }
 
-TEST(DataQueueSnapshot, MutexDequeContentsRoundTrip) {
-  QueueContentsRoundTrip(DataQueueTransport::kMutexDeque);
+TEST(DataQueueSnapshot, SingleThreadChainContentsRoundTrip) {
+  QueueContentsRoundTrip(/*assume_single_thread=*/true);
 }
 
 TEST(DataQueueSnapshot, SpscChainContentsRoundTrip) {
-  QueueContentsRoundTrip(DataQueueTransport::kSpscChain);
+  QueueContentsRoundTrip(/*assume_single_thread=*/false);
 }
 
 TEST(DataQueueSnapshot, EmptyQueueRoundTrip) {

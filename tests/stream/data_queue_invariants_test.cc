@@ -38,7 +38,7 @@ std::vector<StreamElement> Drain(DataQueue* q) {
 }
 
 TEST(DataQueueInvariants, PurgePreservesPunctuationAndOrder) {
-  DataQueue q(DataQueueOptions{4, 0});
+  DataQueue q(DataQueueOptions{.page_size = 4});
   // Page 1: ids 0..2 + punct (flushes). Page 2: ids 3..5 (page full at
   // 4 would split; keep 3 then flush via EOS).
   for (int i = 0; i < 3; ++i) q.PushTuple(T(i, i % 2));
@@ -64,7 +64,7 @@ TEST(DataQueueInvariants, PurgePreservesPunctuationAndOrder) {
 }
 
 TEST(DataQueueInvariants, PurgeDropsEmptiedPagesAndCountsAccurately) {
-  DataQueue q(DataQueueOptions{2, 0});
+  DataQueue q(DataQueueOptions{.page_size = 2});
   for (int i = 0; i < 6; ++i) q.PushTuple(T(i, 1));  // 3 full pages
   EXPECT_EQ(q.stats().pages_flushed_full, 3u);
 
@@ -78,7 +78,10 @@ TEST(DataQueueInvariants, PurgeDropsEmptiedPagesAndCountsAccurately) {
 }
 
 TEST(DataQueueInvariants, PurgeReachesTheOpenPage) {
-  DataQueue q(DataQueueOptions{100, 0});
+  // Only a single-threaded queue lets the consumer-side purge touch
+  // the producer's open page.
+  DataQueue q(
+      DataQueueOptions{.page_size = 100, .assume_single_thread = true});
   for (int i = 0; i < 5; ++i) q.PushTuple(T(i, 1));  // all in open page
   EXPECT_EQ(q.PurgeMatching(MatchSecondGe(1)), 5);
   q.PushEos();
@@ -88,7 +91,7 @@ TEST(DataQueueInvariants, PurgeReachesTheOpenPage) {
 }
 
 TEST(DataQueueInvariants, PromoteNeverCrossesPunctuation) {
-  DataQueue q(DataQueueOptions{8, 0});
+  DataQueue q(DataQueueOptions{.page_size = 8});
   // Page 1 (punct-flushed): t0(v=0), t1(v=9), punct.
   q.PushTuple(T(0, 0));
   q.PushTuple(T(1, 9));
@@ -117,7 +120,7 @@ TEST(DataQueueInvariants, PromoteNeverCrossesPunctuation) {
 }
 
 TEST(DataQueueInvariants, PromoteCountsOnlyRealMoves) {
-  DataQueue q(DataQueueOptions{4, 0});
+  DataQueue q(DataQueueOptions{.page_size = 4});
   q.PushTuple(T(0, 9));
   q.PushTuple(T(1, 9));
   q.Flush();
@@ -128,7 +131,7 @@ TEST(DataQueueInvariants, PromoteCountsOnlyRealMoves) {
 }
 
 TEST(DataQueueInvariants, StatsCountersAccurate) {
-  DataQueue q(DataQueueOptions{2, 0});
+  DataQueue q(DataQueueOptions{.page_size = 2});
   q.PushTuple(T(0, 0));
   q.PushTuple(T(1, 0));       // full flush
   q.PushTuple(T(2, 0));
@@ -156,7 +159,7 @@ TEST(DataQueueInvariants, StatsCountersAccurate) {
 TEST(DataQueueInvariants, PushPageFlushesOpenPageFirst) {
   // The page-granular fast path (Exchange/ShardMerge) must never let a
   // whole page overtake tuples staged element-wise before it.
-  DataQueue q(DataQueueOptions{128, 0});
+  DataQueue q(DataQueueOptions{.page_size = 128});
   q.PushTuple(T(1, 0));
   q.PushTuple(T(2, 0));  // both sit in the open page (128 > 2)
 

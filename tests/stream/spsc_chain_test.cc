@@ -1,8 +1,12 @@
-// SpscChain (growable lock-free SPSC) and the DataQueue kSpscChain
-// transport: unbounded pushes across segment boundaries, FIFO order,
-// two-thread stress, purge/promote surgery (including the
-// single-thread open-page reach the SyncExecutor relies on), and
-// arena-backed pages surviving queue hops and surgery.
+// SpscChain (growable lock-free SPSC) and DataQueue over it:
+// unbounded pushes across segment boundaries, FIFO order, flush
+// semantics and stats, notifier-installed-after-first-push ordering,
+// purge/promote surgery (including the single-thread open-page reach
+// the SyncExecutor relies on), arena-backed pages surviving queue hops
+// and surgery, and randomized producer/consumer stress. The queue-level
+// cases run in both thread contracts (assume_single_thread on and
+// off). The whole file runs under the TSan CI job, which is where the
+// acquire/release choreography is actually proven.
 
 #include "stream/spsc_chain.h"
 
@@ -10,10 +14,12 @@
 
 #include <atomic>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "punct/compiled_pattern.h"
 #include "punct/pattern_parser.h"
 #include "stream/data_queue.h"
 
@@ -87,15 +93,28 @@ TEST(SpscChainTest, TwoThreadStressPreservesOrder) {
 
 DataQueueOptions ChainOptions(int page_size = 4,
                               bool single_thread = true) {
-  DataQueueOptions opts;
-  opts.page_size = page_size;
-  opts.transport = DataQueueTransport::kSpscChain;
-  opts.chain_segment_pages = 2;  // force frequent segment turnover
-  opts.assume_single_thread = single_thread;
-  return opts;
+  return DataQueueOptions{
+      .page_size = page_size,
+      .chain_segment_pages = 2,  // force frequent segment turnover
+      .assume_single_thread = single_thread};
 }
 
 Tuple T1(int64_t v) { return TupleBuilder().I64(v).Build(); }
+
+// Poll-drain until the producer's EOS has been consumed — the pooled
+// scheduler's consumer shape (TryPopPage on wake), minus the wake.
+template <typename OnPage>
+void DrainUntilEos(DataQueue* q, OnPage&& on_page) {
+  while (true) {
+    if (std::optional<Page> page = q->TryPopPage()) {
+      on_page(*page);
+    } else if (q->Drained()) {
+      return;
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
 
 TEST(DataQueueChainTest, UnboundedPushAndOrderedDrain) {
   DataQueue q(ChainOptions());
@@ -212,20 +231,171 @@ TEST(DataQueueChainTest, ArenaTuplesSurviveHopAndSurgery) {
   EXPECT_EQ(seen.back(), "payload-9");
 }
 
-TEST(DataQueueRingTest, ArenaTuplesSurviveRingSurgery) {
-  // Same surgery soundness on the bounded SPSC ring: published pages
-  // holding arena-backed tuples are drained into the staging deque,
-  // operated on, and served FIFO-first with payloads intact.
-  DataQueueOptions opts;
-  opts.page_size = 4;
-  opts.transport = DataQueueTransport::kSpscRing;
-  opts.spsc_default_capacity = 8;
+TEST(DataQueueChainTest, TwoThreadProducerConsumer) {
+  DataQueueOptions opts = ChainOptions(/*page_size=*/8,
+                                       /*single_thread=*/false);
   DataQueue q(opts);
+  constexpr int kN = 50000;
+  std::thread producer([&] {
+    for (int i = 0; i < kN; ++i) q.PushTuple(T1(i));
+    q.PushEos();
+  });
+  int64_t next = 0;
+  bool eos = false;
+  DrainUntilEos(&q, [&](const Page& page) {
+    for (const StreamElement& e : page.elements()) {
+      if (e.is_tuple()) {
+        ASSERT_EQ(e.tuple().value(0).int64_value(), next++);
+      } else if (e.is_eos()) {
+        eos = true;
+      }
+    }
+  });
+  producer.join();
+  EXPECT_EQ(next, kN);
+  EXPECT_TRUE(eos);
+  EXPECT_TRUE(q.Drained());
+}
+
+// ---- DataQueue in both thread contracts ----
+//
+// Each case runs with assume_single_thread on (the SyncExecutor's
+// contract: one thread pushes and pops) and off (the pooled
+// scheduler's: producer and consumer may sit on different workers).
+// None of these cases leaves tuples in the open page when it purges
+// or promotes, so both contracts must give identical answers. Flush
+// reasons, stats and PushPage ordering do not depend on the contract;
+// stream_test and data_queue_invariants_test cover them.
+
+class DataQueueContract : public ::testing::TestWithParam<bool> {
+ protected:
+  bool single_thread() const { return GetParam(); }
+  DataQueueOptions Options(int page_size) const {
+    return ChainOptions(page_size, single_thread());
+  }
+};
+
+std::vector<int64_t> DrainTupleIds(DataQueue* q) {
+  std::vector<int64_t> out;
+  while (auto page = q->TryPopPage()) {
+    for (const StreamElement& e : page->elements()) {
+      if (e.is_tuple()) out.push_back(e.tuple().value(0).int64_value());
+    }
+  }
+  return out;
+}
+
+TEST_P(DataQueueContract, NotifierInstalledLateStillSeesEverything) {
+  DataQueue q(Options(/*page_size=*/1));
+  q.PushTuple(T1(1));  // page published before any notifier exists
+  int notified = 0;
+  q.SetConsumerNotifier([&] { ++notified; });
+  EXPECT_EQ(notified, 0);
+  // The pre-notifier page is discoverable by polling — the pooled
+  // scheduler's install-then-enqueue startup relies on this.
+  ASSERT_TRUE(q.HasPage());
+  q.PushTuple(T1(2));
+  EXPECT_EQ(notified, 1);
+  EXPECT_EQ(DrainTupleIds(&q), (std::vector<int64_t>{1, 2}));
+}
+
+TEST_P(DataQueueContract, PurgeMatchingPreservesPunctuationAndOrder) {
+  DataQueue q(Options(/*page_size=*/4));
+  for (int i = 0; i < 3; ++i) q.PushTuple(T1(i));
+  q.PushPunctuation(Punctuation(P("[<=2]")));
+  for (int i = 3; i < 6; ++i) q.PushTuple(T1(i));
+  q.Flush();
+
+  int removed = q.PurgeMatching(P("[<=1]"));  // drops 0, 1
+  EXPECT_EQ(removed, 2);
+  std::vector<int64_t> tuples;
+  int punct_at = -1;
+  int idx = 0;
+  while (auto page = q.TryPopPage()) {
+    for (const StreamElement& e : page->elements()) {
+      if (e.is_tuple()) {
+        tuples.push_back(e.tuple().value(0).int64_value());
+        ++idx;
+      } else if (e.is_punct()) {
+        punct_at = idx;
+      }
+    }
+  }
+  EXPECT_EQ(tuples, (std::vector<int64_t>{2, 3, 4, 5}));
+  EXPECT_EQ(punct_at, 1);  // still between tuple 2 and tuple 3
+}
+
+TEST_P(DataQueueContract, PurgeDropsEmptiedPagesAndPopsServeSideFirst) {
+  DataQueue q(Options(/*page_size=*/2));
+  for (int i = 0; i < 4; ++i) q.PushTuple(T1(1));  // two pages of 1s
+  EXPECT_EQ(q.PurgeMatching(P("[1]")), 4);
+  EXPECT_FALSE(q.HasPage());
+  // New pages pushed AFTER the purge flow through normally.
+  q.PushTuple(T1(7));
+  q.PushTuple(T1(8));
+  Page page = *q.TryPopPage();
+  EXPECT_EQ(page.elements()[0].tuple().value(0).int64_value(), 7);
+}
+
+TEST_P(DataQueueContract, PurgeThenPushKeepsFifoAcrossSideAndChain) {
+  DataQueue q(Options(/*page_size=*/2));
+  for (int i = 0; i < 4; ++i) q.PushTuple(T1(i));  // pages {0,1} {2,3}
+  // Purge something that empties nothing: pages land in the side deque.
+  EXPECT_EQ(q.PurgeMatching(P("[>=100]")), 0);
+  // Newer pages go to the chain behind them.
+  q.PushTuple(T1(4));
+  q.PushTuple(T1(5));
+  EXPECT_EQ(DrainTupleIds(&q), (std::vector<int64_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST_P(DataQueueContract, PromoteMatchingReordersWithinPagesOnly) {
+  DataQueue q(Options(/*page_size=*/4));
+  q.PushTuple(T1(1));
+  q.PushTuple(T1(9));
+  q.PushTuple(T1(2));
+  q.PushTuple(T1(8));  // page flushes
+  int moved = q.PromoteMatching(P("[>=8]"));
+  EXPECT_GT(moved, 0);
+  EXPECT_EQ(DrainTupleIds(&q), (std::vector<int64_t>{9, 8, 1, 2}));
+}
+
+TEST_P(DataQueueContract, PromoteNeverCrossesPunctuation) {
+  DataQueue q(Options(/*page_size=*/100));
+  q.PushTuple(T1(1));
+  q.PushPunctuation(Punctuation(P("[<=1]")));  // flushes page 1
+  q.PushTuple(T1(9));
+  q.Flush();
+  q.PromoteMatching(P("[9]"));
+  Page first = *q.TryPopPage();
+  EXPECT_TRUE(first.elements().back().is_punct());
+  Page second = *q.TryPopPage();
+  EXPECT_EQ(second.elements().front().tuple().value(0).int64_value(), 9);
+}
+
+TEST_P(DataQueueContract, PurgeRoutesThroughGlobalPatternCache) {
+  // Feedback exploited at many hops purges with the same pattern at
+  // every hop; the queue must fetch the compilation from the global
+  // cache instead of recompiling.
+  DataQueue q(Options(/*page_size=*/2));
+  for (int i = 0; i < 4; ++i) q.PushTuple(T1(i));
+  PunctPattern pattern = P("[>=900]");
+  (void)q.PurgeMatching(pattern);  // primes the cache if needed
+  uint64_t hits_before = CompiledPatternCache::Global().hits();
+  (void)q.PurgeMatching(pattern);
+  (void)q.PromoteMatching(pattern);
+  EXPECT_GE(CompiledPatternCache::Global().hits(), hits_before + 2);
+}
+
+TEST_P(DataQueueContract, ArenaTuplesSurviveSurgery) {
+  // Published pages holding arena-backed tuples are drained into the
+  // staging deque, operated on, and served FIFO-first with payloads
+  // intact.
+  DataQueue q(Options(/*page_size=*/4));
   for (int i = 0; i < 8; ++i) {
     TupleArena* arena = q.OpenPageArena();
     ASSERT_NE(arena, nullptr);
     Tuple t(arena, 2);
-    t.Append(Value::StringIn(arena, "ring-" + std::to_string(i)));
+    t.Append(Value::StringIn(arena, "chain-" + std::to_string(i)));
     t.Append(Value::Int64(i));
     q.PushTuple(std::move(t));
   }
@@ -241,35 +411,131 @@ TEST(DataQueueRingTest, ArenaTuplesSurviveRingSurgery) {
     }
   }
   ASSERT_EQ(seen.size(), 7u);
-  EXPECT_EQ(seen[0], "ring-3");  // promoted within its page
+  EXPECT_EQ(seen[0], "chain-3");  // promoted within its page
 }
 
-TEST(DataQueueChainTest, TwoThreadProducerConsumer) {
-  DataQueueOptions opts = ChainOptions(/*page_size=*/8,
-                                       /*single_thread=*/false);
-  DataQueue q(opts);
-  constexpr int kN = 50000;
-  std::thread producer([&] {
-    for (int i = 0; i < kN; ++i) q.PushTuple(T1(i));
-    q.PushEos();
-  });
-  int64_t next = 0;
-  bool eos = false;
-  while (!eos) {
-    auto page = q.PopPageBlocking(nullptr);
-    if (!page.has_value()) break;
-    for (const StreamElement& e : page->elements()) {
-      if (e.is_tuple()) {
-        ASSERT_EQ(e.tuple().value(0).int64_value(), next++);
-      } else if (e.is_eos()) {
-        eos = true;
+// Checks one consumed stream: tuple ids strictly increasing, every
+// punctuation bound equal to the last id before it, exactly one EOS.
+struct StreamChecker {
+  int64_t last_id = -1;
+  int tuples = 0;
+  int eos = 0;
+
+  void operator()(const Page& page) {
+    for (const StreamElement& e : page.elements()) {
+      switch (e.kind()) {
+        case ElementKind::kTuple: {
+          int64_t id = e.tuple().value(0).int64_value();
+          EXPECT_EQ(id, last_id + 1);
+          last_id = id;
+          ++tuples;
+          break;
+        }
+        case ElementKind::kPunctuation: {
+          Result<int64_t> bound =
+              e.punct().pattern().attr(0).operand().AsInt64();
+          ASSERT_TRUE(bound.ok());
+          EXPECT_EQ(bound.value(), last_id);
+          break;
+        }
+        case ElementKind::kEndOfStream:
+          ++eos;
+          break;
       }
     }
   }
-  producer.join();
-  EXPECT_EQ(next, kN);
+};
+
+TEST_P(DataQueueContract, RandomizedProducerConsumerPreservesStream) {
+  // Punctuation flushes, segment turnover, and the EOS handshake under
+  // load. Cross-thread: a real producer thread against a polling
+  // consumer. Single-thread: one thread interleaves producer steps and
+  // consumer pops in a seeded random order.
+  const int kTuples = 20000;
+  DataQueue q(Options(/*page_size=*/8));
+  std::mt19937 punct_rng(42);
+  auto produce = [&](int i) {
+    q.PushTuple(T1(i));
+    if (punct_rng() % 64 == 0) {
+      q.PushPunctuation(Punctuation(PunctPattern::AllWildcard(1).With(
+          0, AttrPattern::Le(Value::Int64(i)))));
+    }
+  };
+  StreamChecker check;
+  if (single_thread()) {
+    std::mt19937 order_rng(7);
+    int next = 0;
+    while (next < kTuples) {
+      if (order_rng() % 3 != 0) {
+        produce(next++);
+      } else if (std::optional<Page> page = q.TryPopPage()) {
+        check(*page);
+      }
+    }
+    q.PushEos();
+    while (std::optional<Page> page = q.TryPopPage()) check(*page);
+  } else {
+    std::thread producer([&] {
+      for (int i = 0; i < kTuples; ++i) produce(i);
+      q.PushEos();
+    });
+    DrainUntilEos(&q, check);
+    producer.join();
+  }
+  EXPECT_EQ(check.tuples, kTuples);
+  EXPECT_EQ(check.eos, 1);
   EXPECT_TRUE(q.Drained());
 }
+
+TEST_P(DataQueueContract, ConcurrentStatsReadsAreRaceFree) {
+  // A third thread hammering stats()/Drained()/HasPage() while the
+  // stream flows — the introspection calls the scheduler's stall
+  // report and tests make from outside the producer/consumer pair.
+  const int kTuples = 5000;
+  DataQueue q(Options(/*page_size=*/4));
+  std::atomic<bool> stop{false};
+  std::thread observer([&] {
+    uint64_t sink = 0;
+    while (!stop.load()) {
+      DataQueueStats s = q.stats();
+      sink += s.tuples_pushed + s.pages_popped +
+              static_cast<uint64_t>(q.HasPage()) +
+              static_cast<uint64_t>(q.Drained());
+    }
+    EXPECT_GE(sink, 0u);
+  });
+  size_t popped = 0;
+  auto count = [&](const Page& page) { popped += page.size(); };
+  if (single_thread()) {
+    for (int i = 0; i < kTuples; ++i) {
+      q.PushTuple(T1(i));
+      if (i % 16 == 0) {
+        while (std::optional<Page> page = q.TryPopPage()) count(*page);
+      }
+    }
+    q.PushEos();
+    while (std::optional<Page> page = q.TryPopPage()) count(*page);
+  } else {
+    std::thread producer([&] {
+      for (int i = 0; i < kTuples; ++i) q.PushTuple(T1(i));
+      q.PushEos();
+    });
+    DrainUntilEos(&q, count);
+    producer.join();
+  }
+  stop.store(true);
+  observer.join();
+  EXPECT_EQ(popped, static_cast<size_t>(kTuples) + 1);  // + the EOS
+  EXPECT_EQ(q.stats().tuples_pushed, static_cast<uint64_t>(kTuples));
+  EXPECT_TRUE(q.Drained());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothContracts, DataQueueContract, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return info.param ? std::string("SingleThread")
+                        : std::string("CrossThread");
+    });
 
 }  // namespace
 }  // namespace nstream

@@ -13,7 +13,7 @@ using testing_util::P;
 Tuple T(int64_t v) { return TupleBuilder().I64(v).Build(); }
 
 TEST(DataQueueTest, PageFlushesWhenFull) {
-  DataQueue q(DataQueueOptions{/*page_size=*/3, 0});
+  DataQueue q(DataQueueOptions{.page_size = 3});
   q.PushTuple(T(1));
   q.PushTuple(T(2));
   EXPECT_FALSE(q.HasPage());
@@ -27,7 +27,7 @@ TEST(DataQueueTest, PageFlushesWhenFull) {
 TEST(DataQueueTest, PunctuationFlushesImmediately) {
   // §5: a slow stream must not strand punctuation behind an unfilled
   // page.
-  DataQueue q(DataQueueOptions{/*page_size=*/100, 0});
+  DataQueue q(DataQueueOptions{.page_size = 100});
   q.PushTuple(T(1));
   q.PushPunctuation(Punctuation(P("[<=5]")));
   ASSERT_TRUE(q.HasPage());
@@ -59,7 +59,7 @@ TEST(DataQueueTest, ExplicitFlush) {
 }
 
 TEST(DataQueueTest, StatsCountFlushReasons) {
-  DataQueue q(DataQueueOptions{2, 0});
+  DataQueue q(DataQueueOptions{.page_size = 2});
   q.PushTuple(T(1));
   q.PushTuple(T(2));  // full
   q.PushPunctuation(Punctuation(P("[*]")));
@@ -73,7 +73,7 @@ TEST(DataQueueTest, StatsCountFlushReasons) {
 }
 
 TEST(DataQueueTest, PurgeMatchingRemovesOnlyMatchingTuples) {
-  DataQueue q(DataQueueOptions{2, 0});
+  DataQueue q(DataQueueOptions{.page_size = 2});
   for (int i = 0; i < 6; ++i) q.PushTuple(T(i));
   q.PushPunctuation(Punctuation(P("[<=5]")));
   int removed = q.PurgeMatching(P("[<=2]"));
@@ -95,14 +95,14 @@ TEST(DataQueueTest, PurgeMatchingRemovesOnlyMatchingTuples) {
 }
 
 TEST(DataQueueTest, PurgeDropsEmptiedPages) {
-  DataQueue q(DataQueueOptions{2, 0});
+  DataQueue q(DataQueueOptions{.page_size = 2});
   for (int i = 0; i < 4; ++i) q.PushTuple(T(1));
   EXPECT_EQ(q.PurgeMatching(P("[1]")), 4);
   EXPECT_FALSE(q.HasPage());
 }
 
 TEST(DataQueueTest, PromoteMatchingReordersWithinPages) {
-  DataQueue q(DataQueueOptions{4, 0});
+  DataQueue q(DataQueueOptions{.page_size = 4});
   q.PushTuple(T(1));
   q.PushTuple(T(9));
   q.PushTuple(T(2));
@@ -118,7 +118,7 @@ TEST(DataQueueTest, PromoteMatchingReordersWithinPages) {
 }
 
 TEST(DataQueueTest, PromoteNeverCrossesPunctuation) {
-  DataQueue q(DataQueueOptions{100, 0});
+  DataQueue q(DataQueueOptions{.page_size = 100});
   q.PushTuple(T(1));
   q.PushPunctuation(Punctuation(P("[<=1]")));  // flushes page 1
   q.PushTuple(T(9));
@@ -133,7 +133,7 @@ TEST(DataQueueTest, PromoteNeverCrossesPunctuation) {
 }
 
 TEST(DataQueueTest, ConsumerNotifierFires) {
-  DataQueue q(DataQueueOptions{1, 0});
+  DataQueue q(DataQueueOptions{.page_size = 1});
   int notified = 0;
   q.SetConsumerNotifier([&] { ++notified; });
   q.PushTuple(T(1));  // page full -> flush -> notify

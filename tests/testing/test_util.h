@@ -13,7 +13,6 @@
 #include "exec/scheduler.h"
 #include "exec/sim_executor.h"
 #include "exec/sync_executor.h"
-#include "exec/threaded_executor.h"
 #include "ops/sink.h"
 #include "ops/vector_source.h"
 #include "punct/pattern_parser.h"
@@ -92,10 +91,6 @@ class LinearPlan {
     Status st = exec.Run(&plan_);
     sim_end_ms_ = exec.now_ms();
     return st;
-  }
-  Status RunThreaded(ThreadedExecutorOptions options = {}) {
-    ThreadedExecutor exec(options);
-    return exec.Run(&plan_);
   }
   Status RunPooled(PooledExecutorOptions options = {}) {
     PooledExecutor exec(options);
