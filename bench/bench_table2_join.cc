@@ -18,6 +18,7 @@
 #include "common/logging.h"
 #include "core/characterization.h"
 #include "core/propagation.h"
+#include "exec/exec_context.h"
 #include "exec/sync_executor.h"
 #include "metrics/report.h"
 #include "ops/sink.h"
@@ -86,9 +87,7 @@ struct JoinRun {
 };
 
 JoinRun RunJoin(benchmark::State* state, int n, const char* feedback,
-                bool batched_probe = true,
-                ProbeGrouping grouping = JoinOptions{}.probe_grouping,
-                int burst = 1) {
+                bool batched_probe = true, int burst = 1) {
   QueryPlan plan;
   auto* left = plan.AddOp(std::make_unique<VectorSource>(
       "A", LeftSchema(), SideStream(n, true, 50, burst)));
@@ -98,7 +97,6 @@ JoinRun RunJoin(benchmark::State* state, int n, const char* feedback,
   jopt.left_keys = {1, 2};   // (t, id)
   jopt.right_keys = {0, 1};  // (t, id)
   jopt.page_batched_probe = batched_probe;
-  jopt.probe_grouping = grouping;
   auto* join =
       plan.AddOp(std::make_unique<SymmetricHashJoin>("join", jopt));
   auto injected = std::make_shared<bool>(false);
@@ -191,6 +189,90 @@ uint64_t HashedKey(const Tuple& t, const std::vector<int>& keys,
       static_cast<uint64_t>(t.HashSubset(keys)), wid);
 }
 
+// Drops everything a directly-driven operator emits.
+class DiscardContext final : public ExecContext {
+ public:
+  void EmitTuple(int, Tuple) override {}
+  void EmitPunct(int, Punctuation) override {}
+  void EmitEos(int) override {}
+  void EmitPage(int, Page&&) override {}
+  bool PagedEmissionPreferred() const override { return true; }
+  void EmitFeedback(int, FeedbackPunctuation) override {}
+  void EmitControl(int, ControlMessage) override {}
+  TimeMs NowMs() const override { return 0; }
+  void ChargeMs(double) override {}
+};
+
+// Heap allocations per input tuple of a steady windowed join, driven
+// page by page with no executor: 512 tuples per side per 1000 ms
+// window over 1024 keys, every window closed by punctuation on both
+// sides. Input pages are built before counting starts, so the count
+// is the join's own: state, index and result staging. The first
+// kWarm windows are not counted; by then purged window slabs are
+// being reused.
+double WindowedJoinAllocsPerInput() {
+  constexpr int kWindows = 24;
+  constexpr int kWarm = 4;
+  constexpr int kPerWindow = 512;
+  constexpr int kPage = 128;
+  JoinOptions jopt;
+  jopt.left_keys = {0};
+  jopt.right_keys = {0};
+  jopt.left_ts = 1;
+  jopt.right_ts = 1;
+  jopt.window_join = true;
+  jopt.window = WindowSpec{1000, 1000};
+  SymmetricHashJoin join("join", jopt);
+  SchemaPtr schema = Schema::Make({{"k", ValueType::kInt64},
+                                   {"ts", ValueType::kTimestamp},
+                                   {"p", ValueType::kInt64}});
+  NSTREAM_CHECK(join.SetInputSchema(0, schema).ok());
+  NSTREAM_CHECK(join.SetInputSchema(1, schema).ok());
+  NSTREAM_CHECK(join.InferSchemas().ok());
+  DiscardContext ctx;
+  NSTREAM_CHECK(join.Open(&ctx).ok());
+
+  // pages[side][w]: the window's tuples, the last page ending in the
+  // punctuation that closes it.
+  std::vector<std::vector<Page>> pages[2];
+  uint64_t x = 88172645463325252ULL;  // xorshift64
+  for (int side = 0; side < 2; ++side) {
+    pages[side].resize(kWindows);
+    for (int w = 0; w < kWindows; ++w) {
+      for (int i = 0; i < kPerWindow; ++i) {
+        if (i % kPage == 0) pages[side][w].emplace_back();
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        pages[side][w].back().AddTuple(
+            TupleBuilder()
+                .I64(static_cast<int64_t>(x % 1024))
+                .Ts(w * 1000 + i)
+                .I64(i)
+                .Build());
+      }
+      pages[side][w].back().Add(StreamElement::OfPunct(
+          Punctuation(PunctPattern::AllWildcard(3).With(
+              1, AttrPattern::Le(Value::Timestamp(w * 1000 + 999))))));
+    }
+  }
+  uint64_t before = 0;
+  for (int w = 0; w < kWindows; ++w) {
+    if (w == kWarm) before = g_alloc_count.load(std::memory_order_relaxed);
+    for (size_t i = 0; i < pages[0][w].size(); ++i) {
+      for (int side = 0; side < 2; ++side) {
+        NSTREAM_CHECK(
+            join.ProcessPage(side, std::move(pages[side][w][i]), nullptr)
+                .ok());
+      }
+    }
+  }
+  const uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  return static_cast<double>(allocs) /
+         (2.0 * kPerWindow * (kWindows - kWarm));
+}
+
 void RecordHotpathJson() {
   using benchjson::MeasurePerSec;
   const int kTuples = 4096;
@@ -239,48 +321,44 @@ void RecordHotpathJson() {
   // two. The clean same-methodology A/B is batched_probe_speedup
   // (batched vs element_probe, both measured identically below).
   const int kJoinN = 1 << 13;
-  // The production default is the batched walk again (the sort-free
-  // adjacency grouping, default ProbeGrouping::kAdjacent, won
-  // batching back from the element walk — the sort-based grouping
-  // had lost to it when the arena model landed, and kAdaptive's
-  // element-walk fallback measured strictly worse than always
-  // grouping). The headline and arena rows measure the default; the
-  // grouping A/B rows keep every path honest, on both the classic
+  // The production default is the batched walk (the adjacency walk
+  // over window slabs). The headline and arena rows measure the
+  // default; the walk A/B rows keep both paths honest, on the classic
   // Table 2 stream (adjacent keys always differ) and a bursty variant
-  // (8-tuple key bursts, the adjacency grouping's target shape).
+  // (8-tuple key bursts, the adjacency walk's target shape).
   const bool kDefaultBatched = JoinOptions{}.page_batched_probe;
-  const ProbeGrouping kDefaultGrouping = JoinOptions{}.probe_grouping;
-  auto timed_run = [&](bool batched,
-                       ProbeGrouping grouping = JoinOptions{}.probe_grouping,
-                       int burst = 1) {
+  auto timed_run = [&](bool batched, int burst = 1) {
     auto start = std::chrono::steady_clock::now();
-    JoinRun run = RunJoin(nullptr, kJoinN, nullptr, batched, grouping,
-                          burst);
+    JoinRun run = RunJoin(nullptr, kJoinN, nullptr, batched, burst);
     double ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
     benchmark::DoNotOptimize(run.joined);
     return 2.0 * kJoinN / (ms / 1000.0);
   };
-  auto best_run = [&](bool batched,
-                      ProbeGrouping grouping = JoinOptions{}.probe_grouping,
-                      int burst = 1) {
+  auto best_run = [&](bool batched, int burst = 1) {
     double best = 0;
     for (int i = 0; i < 3; ++i) {
-      best = std::max(best, timed_run(batched, grouping, burst));
+      best = std::max(best, timed_run(batched, burst));
     }
     return best;
   };
+  // The walk A/B alternates its two arms, so box drift during the
+  // measurement hits both: best of 3 each, interleaved.
+  auto best_walks = [&](int burst, double* batched, double* element) {
+    *batched = 0;
+    *element = 0;
+    for (int i = 0; i < 3; ++i) {
+      *batched = std::max(*batched, timed_run(true, burst));
+      *element = std::max(*element, timed_run(false, burst));
+    }
+  };
   timed_run(true);  // warm-up
   timed_run(false);
-  double batched_tps = best_run(true);
-  double element_tps = best_run(false);
-  double sorted_tps = best_run(true, ProbeGrouping::kSorted);
-  double adjacent_tps = best_run(true, ProbeGrouping::kAdjacent);
+  double batched_tps, element_tps, bursty_adjacent_tps, bursty_element_tps;
+  best_walks(1, &batched_tps, &element_tps);
+  best_walks(8, &bursty_adjacent_tps, &bursty_element_tps);
   double default_tps = kDefaultBatched ? batched_tps : element_tps;
-  double bursty_adjacent_tps =
-      best_run(true, ProbeGrouping::kAdjacent, /*burst=*/8);
-  double bursty_element_tps = best_run(false, kDefaultGrouping, 8);
   // Arena A/B on the identical plan (production probe config): page
   // arenas globally disabled puts every result tuple (and join-table
   // entry) back on the owned per-tuple allocation path.
@@ -371,6 +449,7 @@ void RecordHotpathJson() {
   };
   double arena_allocs = allocs_per_output(true);
   double noarena_allocs = allocs_per_output(false);
+  double allocs_per_input = WindowedJoinAllocsPerInput();
 
   benchjson::RecordAll({
       {"join.seed_stringkey_probes_per_sec", seed_probe},
@@ -380,11 +459,9 @@ void RecordHotpathJson() {
       {"join.batched_probe_tuples_per_sec", batched_tps},
       {"join.element_probe_tuples_per_sec", element_tps},
       {"join.batched_probe_speedup", batched_tps / element_tps},
-      // Probe-grouping A/B: sorted (the original batched probe),
-      // sort-free adjacency, and the bursty-stream shape where
-      // adjacency grouping actually collapses table lookups.
-      {"join.sorted_probe_tuples_per_sec", sorted_tps},
-      {"join.adjacent_probe_tuples_per_sec", adjacent_tps},
+      // Walk A/B: the adjacency walk is the batched walk; the bursty
+      // stream is the shape where it skips repeated slab lookups.
+      {"join.adjacent_probe_tuples_per_sec", batched_tps},
       {"join.bursty8_adjacent_tuples_per_sec", bursty_adjacent_tps},
       {"join.bursty8_element_tuples_per_sec", bursty_element_tps},
       {"join.bursty8_adjacent_speedup",
@@ -397,6 +474,9 @@ void RecordHotpathJson() {
       {"join.arena_allocs_per_output", arena_allocs},
       {"join.noarena_allocs_per_output", noarena_allocs},
       {"join.arena_alloc_reduction", noarena_allocs / arena_allocs},
+      // Steady windowed join, allocations per input tuple: no state
+      // allocation per stored entry once window slabs are reused.
+      {"join.allocs_per_input", allocs_per_input},
       // Columnar (SoA) page staging: e2e throughput A/B and the
       // isolated emit-path cost per output tuple.
       {"join.columnar_tuples_per_sec", columnar_tps},

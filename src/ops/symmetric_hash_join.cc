@@ -145,10 +145,20 @@ ColumnarBlock* SymmetricHashJoin::StagedColumnar() {
   if (out_staged_.is_columnar()) return out_staged_.columnar();
   if (!out_staged_.empty()) return nullptr;  // a row page is open
   if (!PageColumnar::enabled()) return nullptr;
+  // Size the block to what recent staged pages held, with half again
+  // as headroom, rounded up to a power of two: a page that flushes
+  // with a few dozen results then lays out (and first-touches) a few
+  // KB, not output_page_size rows of every column. A block that fills
+  // up doubles the next one.
+  const uint32_t max_rows =
+      static_cast<uint32_t>(std::max(1, options_.output_page_size));
+  const uint32_t want = stage_rows_hint_ + stage_rows_hint_ / 2;
+  uint32_t rows = std::min<uint32_t>(16, max_rows);
+  while (rows < want && rows < max_rows) rows *= 2;
   return out_staged_.BeginColumnar(
       static_cast<uint32_t>(left_arity_ +
                             static_cast<int>(right_nonkey_.size())),
-      static_cast<uint32_t>(options_.output_page_size));
+      std::min(rows, max_rows));
 }
 
 void SymmetricHashJoin::EmitJoinedPair(const Tuple& left,
@@ -171,10 +181,7 @@ void SymmetricHashJoin::EmitJoinedPair(const Tuple& left,
           blk->Set(c++, r, Value::Null());
         }
       }
-      if (static_cast<int>(out_staged_.size()) >=
-          options_.output_page_size) {
-        FlushOutput();
-      }
+      if (blk->full()) FlushOutput();
       return;
     }
   }
@@ -227,6 +234,13 @@ void SymmetricHashJoin::FlushOutput() {
     if (out_staged_.arena_if_created() != nullptr) out_staged_ = Page();
     return;
   }
+  if (const ColumnarBlock* b = out_staged_.columnar()) {
+    // Grow at once, shrink slowly: a burst of results is not split
+    // over several small pages the next time it comes.
+    stage_rows_hint_ = b->full() ? 2 * b->capacity()
+                                 : std::max(b->rows(), stage_rows_hint_ -
+                                                           stage_rows_hint_ / 8);
+  }
   EmitPage(0, std::move(out_staged_));
   out_staged_ = Page();
 }
@@ -239,17 +253,11 @@ Status SymmetricHashJoin::ProcessPage(int port, Page&& page,
     return st;
   }
   if (page.is_columnar()) {
-    // Columnar input rides the dedicated column-sweep probe under the
-    // default adjacency grouping; the sorted/adaptive variants (A/B
-    // configurations) materialize rows and take their usual paths.
-    if (options_.probe_grouping == ProbeGrouping::kAdjacent) {
-      Status st = ProcessColumnarPage(port, std::move(page), tick);
-      FlushOutput();
-      return st;
-    }
-    page.EnsureRowLayout();
+    Status st = ProcessColumnarPage(port, std::move(page), tick);
+    FlushOutput();
+    return st;
   }
-  // Batched walk: runs of consecutive tuples take the grouped probe;
+  // Batched walk: runs of consecutive tuples take the adjacency walk;
   // punctuation and EOS keep their element positions as run
   // boundaries, so watermark/guard state never changes mid-run and no
   // result ever overtakes a punctuation (FlushOutput inside
@@ -276,148 +284,108 @@ Status SymmetricHashJoin::ProcessPage(int port, Page&& page,
   return Status::OK();
 }
 
-Status SymmetricHashJoin::ProcessTupleRun(
-    int port, std::vector<StreamElement>& elems, size_t begin,
-    size_t end, TimeMs* tick) {
-  switch (options_.probe_grouping) {
-    case ProbeGrouping::kSorted:
-      return ProcessSortedRun(port, elems, begin, end, tick);
-    case ProbeGrouping::kAdjacent:
-      return ProcessAdjacentRun(port, elems, begin, end, tick);
-    case ProbeGrouping::kAdaptive:
-      // Grouped while duplicates are dense enough to pay for the
-      // memoization bookkeeping; otherwise the plain element walk,
-      // with a periodic grouped run to re-sample the density (the
-      // grouped pass measures as it walks, the element walk cannot).
-      if (adj_dup_ewma_ >= options_.adaptive_min_dup_fraction ||
-          ++runs_since_dup_sample_ >= options_.adaptive_resample_period) {
-        return ProcessAdjacentRun(port, elems, begin, end, tick);
-      }
-      return ProcessRunElementwise(port, elems, begin, end, tick);
-  }
-  return ProcessRunElementwise(port, elems, begin, end, tick);
-}
-
-Status SymmetricHashJoin::ProcessRunElementwise(
-    int port, std::vector<StreamElement>& elems, size_t begin,
-    size_t end, TimeMs* tick) {
-  for (size_t e = begin; e < end; ++e) {
-    if (tick) ++*tick;
-    ++stats_.tuples_in;
-    NSTREAM_RETURN_NOT_OK(ProcessTuple(port, elems[e].tuple()));
-  }
-  return Status::OK();
-}
-
-Status SymmetricHashJoin::ProcessAdjacentRun(
-    int port, std::vector<StreamElement>& elems, size_t begin,
-    size_t end, TimeMs* tick) {
+bool SymmetricHashJoin::ProbeSlab(JoinSlab* probe, int port,
+                                  const Tuple& tuple, uint64_t key) {
+  if (probe == nullptr) return false;
   const std::vector<int>& my_keys =
       port == 0 ? options_.left_keys : options_.right_keys;
   const std::vector<int>& other_keys =
       port == 0 ? options_.right_keys : options_.left_keys;
-  const int other = 1 - port;
+  // The slab fixes the window; equal 64-bit hashes are still not
+  // enough, so each candidate must pass value equality on the keys.
+  bool matched = false;
+  for (uint32_t i = probe->Head(key); i != JoinSlab::kNil;) {
+    Entry& ent = probe->at(i);
+    i = ent.next;
+    if (ent.key != key) continue;           // bucket neighbour
+    if (port == 1 && ent.gated) continue;   // right probe skips gated
+    if (!tuple.EqualsSubset(ent.tuple, my_keys, other_keys)) {
+      continue;  // hash collision: not actually the same key
+    }
+    ent.matched = true;
+    matched = true;
+    if (port == 0) {
+      EmitJoinedPair(tuple, &ent.tuple);
+    } else {
+      EmitJoinedPair(ent.tuple, &tuple);
+    }
+  }
+  return matched;
+}
 
-  // One fused pass in element order. The memoized bucket pointers
-  // stay valid across the walk: probing never mutates tables_[other],
-  // and inserting into tables_[port] may rehash that map but never
-  // moves its mapped vectors (unordered_map references are stable
-  // under insertion).
-  bool have_prev = false;
-  uint64_t prev_key = 0;
-  std::vector<Entry>* probe_bucket = nullptr;
-  std::vector<Entry>* own_bucket = nullptr;
-  uint64_t admitted = 0;
-  uint64_t adjacent_dups = 0;
+bool SymmetricHashJoin::Admit(int port, const Tuple& tuple, int64_t wid) {
+  if (input_guards_[static_cast<size_t>(port)].Blocks(tuple)) {
+    ++stats_.input_guard_drops;
+    return false;
+  }
+#ifndef NDEBUG
+  // Shard-routing tripwire: a mis-routed tuple would silently miss its
+  // join partner, so verify the Exchange's placement decision here.
+  if (options_.shard_count > 1) {
+    const std::vector<int>& route_keys =
+        port == 0 ? options_.left_keys : options_.right_keys;
+    assert(ShardOfRoutingHash(ShardRoutingHash(tuple, route_keys),
+                              options_.shard_count) ==
+           options_.shard_index);
+  }
+#endif
+  // Straggler past its window's punctuation: nothing to join with. The
+  // watermark cannot advance mid-run (punctuation bounds every run), so
+  // the page walks decide exactly as the element walk does.
+  return !options_.window_join || wid > watermark_[port];
+}
 
+template <typename TupleRef>
+void SymmetricHashJoin::JoinAdmitted(int port, TupleRef&& tuple,
+                                     int64_t wid, uint64_t key,
+                                     SlabCursor* cursor) {
+  // Probing never inserts into state_[other] and inserting into this
+  // side's slab never moves the other side's entries, so a run of
+  // tuples in one window reuses the resolved slabs.
+  if (!cursor->valid || cursor->wid != wid) {
+    cursor->valid = true;
+    cursor->wid = wid;
+    cursor->probe = state_[1 - port].Find(wid);
+    cursor->own = nullptr;  // resolved at the first insert
+  }
+
+  // Adaptive gate: a failed left tuple neither probes nor is probed;
+  // it still emits as an outer row at window close. Its failure is the
+  // discovery of a processing opportunity on the right branch.
+  bool gated = false;
+  if (port == 0 && options_.left_gate && !options_.left_gate(tuple)) {
+    gated = true;
+    if (options_.gate_feedback_horizon > 0 && options_.window_join) {
+      SendGateFeedback(tuple, wid, key);
+    }
+  }
+  const bool matched = !gated && ProbeSlab(cursor->probe, port, tuple, key);
+
+  if (options_.window_join) {
+    ++window_counts_[port][wid];
+    if (wid < min_seen_wid_[port]) min_seen_wid_[port] = wid;
+    if (options_.impatient && port == options_.impatient_data_input) {
+      MaybeImpatient(tuple, port, wid, key);
+    }
+  }
+  if (cursor->own == nullptr) cursor->own = &state_[port].FindOrCreate(wid);
+  Entry& entry = cursor->own->Insert(key, std::forward<TupleRef>(tuple));
+  entry.gated = gated;
+  entry.matched = matched;
+}
+
+Status SymmetricHashJoin::ProcessTupleRun(
+    int port, std::vector<StreamElement>& elems, size_t begin,
+    size_t end, TimeMs* tick) {
+  SlabCursor cursor;
   for (size_t e = begin; e < end; ++e) {
     if (tick) ++*tick;
     ++stats_.tuples_in;
-    const Tuple& tuple = elems[e].tuple();
-    if (input_guards_[static_cast<size_t>(port)].Blocks(tuple)) {
-      ++stats_.input_guard_drops;
-      continue;
-    }
-#ifndef NDEBUG
-    // Shard-routing tripwire: a mis-routed tuple would silently miss
-    // its join partner, so verify the Exchange's placement decision.
-    if (options_.shard_count > 1) {
-      assert(ShardOfRoutingHash(ShardRoutingHash(tuple, my_keys),
-                                options_.shard_count) ==
-             options_.shard_index);
-    }
-#endif
-    int64_t wid = WidOf(tuple, port);
-    if (options_.window_join && wid <= watermark_[port]) {
-      // Straggler past its window's punctuation: nothing to join
-      // with. The watermark cannot advance mid-run (punctuation
-      // bounds the run), so this matches the element-wise decision.
-      continue;
-    }
-    uint64_t key = KeyHash(tuple, port, wid);
-    ++admitted;
-    if (have_prev && key == prev_key) {
-      ++adjacent_dups;  // memoized buckets stay hot
-    } else {
-      auto it = tables_[other].find(key);
-      probe_bucket = it == tables_[other].end() ? nullptr : &it->second;
-      own_bucket = nullptr;  // resolved lazily at first insert
-      prev_key = key;
-      have_prev = true;
-    }
-
-    bool gated = false;
-    if (port == 0 && options_.left_gate && !options_.left_gate(tuple)) {
-      gated = true;
-      if (options_.gate_feedback_horizon > 0 && options_.window_join) {
-        SendGateFeedback(tuple, wid, key);
-      }
-    }
-
-    bool matched_now = false;
-    if (!gated && probe_bucket != nullptr) {
-      for (Entry& ent : *probe_bucket) {
-        if (port == 1 && ent.gated) continue;  // right probe skips gated
-        if (ent.wid != wid ||
-            !tuple.EqualsSubset(ent.tuple, my_keys, other_keys)) {
-          continue;  // hash collision: not actually the same key
-        }
-        ent.matched = true;
-        matched_now = true;
-        if (port == 0) {
-          EmitJoinedPair(tuple, &ent.tuple);
-        } else {
-          EmitJoinedPair(ent.tuple, &tuple);
-        }
-      }
-    }
-
-    if (options_.window_join) {
-      ++window_counts_[port][wid];
-      if (wid < min_seen_wid_[port]) min_seen_wid_[port] = wid;
-      if (options_.impatient && port == options_.impatient_data_input) {
-        MaybeImpatient(tuple, port, wid, key);
-      }
-    }
-    Entry entry;
-    entry.tuple = std::move(elems[e].mutable_tuple());  // page is ours
-    // Table entries outlive the input page: promote arena-backed
-    // tuples into table-owned (heap) storage.
-    entry.tuple.Promote();
-    entry.wid = wid;
-    entry.gated = gated;
-    entry.matched = matched_now;
-    if (own_bucket == nullptr) own_bucket = &tables_[port][key];
-    own_bucket->push_back(std::move(entry));
-  }
-
-  // Feed the adaptive density estimate (quarter-weight EWMA: reacts
-  // within a few pages, shrugs off one odd run).
-  if (admitted > 0) {
-    double frac = static_cast<double>(adjacent_dups) /
-                  static_cast<double>(admitted);
-    adj_dup_ewma_ = 0.75 * adj_dup_ewma_ + 0.25 * frac;
-    runs_since_dup_sample_ = 0;
+    Tuple& tuple = elems[e].mutable_tuple();  // page is ours
+    const int64_t wid = WidOf(tuple, port);
+    if (!Admit(port, tuple, wid)) continue;
+    const uint64_t key = KeyHash(tuple, port, wid);
+    JoinAdmitted(port, std::move(tuple), wid, key, &cursor);
   }
   return Status::OK();
 }
@@ -429,9 +397,6 @@ Status SymmetricHashJoin::ProcessColumnarPage(int port, Page&& page,
   if (n == 0) return Status::OK();
   const std::vector<int>& my_keys =
       port == 0 ? options_.left_keys : options_.right_keys;
-  const std::vector<int>& other_keys =
-      port == 0 ? options_.right_keys : options_.left_keys;
-  const int other = 1 - port;
 
   Tuple scratch = b->MakeRowScratch();
 
@@ -483,303 +448,26 @@ Status SymmetricHashJoin::ProcessColumnarPage(int port, Page&& page,
     }
   }
 
-  // The fused adjacency-memoized walk of ProcessAdjacentRun, reading
-  // rows through the reused aliased scratch view. Columnar pages are
-  // tuples-only, so the whole page is one run.
-  bool have_prev = false;
-  uint64_t prev_key = 0;
-  std::vector<Entry>* probe_bucket = nullptr;
-  std::vector<Entry>* own_bucket = nullptr;
-  uint64_t admitted = 0;
-  uint64_t adjacent_dups = 0;
-
+  // The adjacency walk of ProcessTupleRun, reading rows through the
+  // reused aliased scratch view (the slab copies what it stores).
+  // Columnar pages are tuples-only, so the whole page is one run.
+  SlabCursor cursor;
   for (uint32_t i = 0; i < n; ++i) {
     if (tick) ++*tick;
     ++stats_.tuples_in;
-    const uint32_t r = b->row_at(i);
-    b->FillRow(r, &scratch);
+    b->FillRow(b->row_at(i), &scratch);
     const Tuple& tuple = scratch;
-    if (input_guards_[static_cast<size_t>(port)].Blocks(tuple)) {
-      ++stats_.input_guard_drops;
-      continue;
-    }
-#ifndef NDEBUG
-    // Shard-routing tripwire: a mis-routed tuple would silently miss
-    // its join partner, so verify the Exchange's placement decision.
-    if (options_.shard_count > 1) {
-      assert(ShardOfRoutingHash(ShardRoutingHash(tuple, my_keys),
-                                options_.shard_count) ==
-             options_.shard_index);
-    }
-#endif
-    const int64_t wid = wid_scratch_[i];
-    if (options_.window_join && wid <= watermark_[port]) {
-      // Straggler past its window's punctuation: nothing to join
-      // with (the watermark cannot advance mid-page).
-      continue;
-    }
-    const uint64_t key = hash_scratch_[i];
-    ++admitted;
-    if (have_prev && key == prev_key) {
-      ++adjacent_dups;  // memoized buckets stay hot
-    } else {
-      auto it = tables_[other].find(key);
-      probe_bucket = it == tables_[other].end() ? nullptr : &it->second;
-      own_bucket = nullptr;  // resolved lazily at first insert
-      prev_key = key;
-      have_prev = true;
-    }
-
-    bool gated = false;
-    if (port == 0 && options_.left_gate && !options_.left_gate(tuple)) {
-      gated = true;
-      if (options_.gate_feedback_horizon > 0 && options_.window_join) {
-        SendGateFeedback(tuple, wid, key);
-      }
-    }
-
-    bool matched_now = false;
-    if (!gated && probe_bucket != nullptr) {
-      for (Entry& ent : *probe_bucket) {
-        if (port == 1 && ent.gated) continue;  // right probe skips gated
-        if (ent.wid != wid ||
-            !tuple.EqualsSubset(ent.tuple, my_keys, other_keys)) {
-          continue;  // hash collision: not actually the same key
-        }
-        ent.matched = true;
-        matched_now = true;
-        if (port == 0) {
-          EmitJoinedPair(tuple, &ent.tuple);
-        } else {
-          EmitJoinedPair(ent.tuple, &tuple);
-        }
-      }
-    }
-
-    if (options_.window_join) {
-      ++window_counts_[port][wid];
-      if (wid < min_seen_wid_[port]) min_seen_wid_[port] = wid;
-      if (options_.impatient && port == options_.impatient_data_input) {
-        MaybeImpatient(tuple, port, wid, key);
-      }
-    }
-    Entry entry;
-    // Table entries outlive the input page: gather the row into a
-    // self-contained owned tuple (the columnar analogue of the row
-    // path's move + Promote — the same one value copy per attribute).
-    entry.tuple = b->GatherRowOwned(r);
-    entry.wid = wid;
-    entry.gated = gated;
-    entry.matched = matched_now;
-    if (own_bucket == nullptr) own_bucket = &tables_[port][key];
-    own_bucket->push_back(std::move(entry));
-  }
-
-  if (admitted > 0) {
-    double frac = static_cast<double>(adjacent_dups) /
-                  static_cast<double>(admitted);
-    adj_dup_ewma_ = 0.75 * adj_dup_ewma_ + 0.25 * frac;
-    runs_since_dup_sample_ = 0;
-  }
-  return Status::OK();
-}
-
-Status SymmetricHashJoin::ProcessSortedRun(
-    int port, std::vector<StreamElement>& elems, size_t begin,
-    size_t end, TimeMs* tick) {
-  const std::vector<int>& my_keys =
-      port == 0 ? options_.left_keys : options_.right_keys;
-  const std::vector<int>& other_keys =
-      port == 0 ? options_.right_keys : options_.left_keys;
-  const int other = 1 - port;
-
-  // Pass 1: per-tuple admission (guards, stragglers, gate) and key
-  // derivation — everything ProcessTuple does before touching a table.
-  std::vector<RunItem>& run = run_scratch_;
-  run.clear();
-  for (size_t e = begin; e < end; ++e) {
-    if (tick) ++*tick;
-    ++stats_.tuples_in;
-    const Tuple& tuple = elems[e].tuple();
-    if (input_guards_[static_cast<size_t>(port)].Blocks(tuple)) {
-      ++stats_.input_guard_drops;
-      continue;
-    }
-#ifndef NDEBUG
-    // Shard-routing tripwire: a mis-routed tuple would silently miss
-    // its join partner, so verify the Exchange's placement decision.
-    if (options_.shard_count > 1) {
-      assert(ShardOfRoutingHash(
-                 ShardRoutingHash(tuple, my_keys),
-                 options_.shard_count) == options_.shard_index);
-    }
-#endif
-    int64_t wid = WidOf(tuple, port);
-    if (options_.window_join && wid <= watermark_[port]) {
-      // Straggler past its window's punctuation: nothing to join with.
-      // The watermark cannot advance mid-run (only punctuation moves
-      // it, and punctuation bounds the run), so this decision is
-      // identical to the element-wise walk's.
-      continue;
-    }
-    RunItem item;
-    item.elem = static_cast<uint32_t>(e);
-    item.wid = wid;
-    item.key = KeyHash(tuple, port, wid);
-    if (port == 0 && options_.left_gate && !options_.left_gate(tuple)) {
-      item.gated = true;
-      if (options_.gate_feedback_horizon > 0 && options_.window_join) {
-        SendGateFeedback(tuple, wid, item.key);
-      }
-    }
-    run.push_back(item);
-  }
-  if (run.empty()) return Status::OK();
-
-  // Pass 2: group by key hash. The element-index tiebreak keeps the
-  // order within a key stable, so per-key output order matches the
-  // element-wise walk; only the interleaving across keys differs.
-  std::sort(run.begin(), run.end(),
-            [](const RunItem& a, const RunItem& b) {
-              if (a.key != b.key) return a.key < b.key;
-              return a.elem < b.elem;
-            });
-
-  // Pass 3: per key group, one probe lookup and one insert lookup.
-  // Same-port tuples never join each other (tables are per input), so
-  // deferring the inserts to the end of the group cannot change the
-  // result set.
-  size_t g = 0;
-  while (g < run.size()) {
-    size_t h = g + 1;
-    while (h < run.size() && run[h].key == run[g].key) ++h;
-    const uint64_t key = run[g].key;
-
-    auto it = tables_[other].find(key);
-    if (it != tables_[other].end()) {
-      for (size_t m = g; m < h; ++m) {
-        if (run[m].gated) continue;  // a gated left tuple never probes
-        const Tuple& tuple = elems[run[m].elem].tuple();
-        for (Entry& ent : it->second) {
-          if (port == 1 && ent.gated) continue;  // right probe skips gated
-          if (ent.wid != run[m].wid ||
-              !tuple.EqualsSubset(ent.tuple, my_keys, other_keys)) {
-            continue;  // hash collision: not actually the same key
-          }
-          ent.matched = true;
-          run[m].matched = true;
-          if (port == 0) {
-            EmitJoinedPair(tuple, &ent.tuple);
-          } else {
-            EmitJoinedPair(ent.tuple, &tuple);
-          }
-        }
-      }
-    }
-
-    std::vector<Entry>& own = tables_[port][key];
-    for (size_t m = g; m < h; ++m) {
-      Tuple& tuple = elems[run[m].elem].mutable_tuple();
-      if (options_.window_join) {
-        ++window_counts_[port][run[m].wid];
-        if (run[m].wid < min_seen_wid_[port]) {
-          min_seen_wid_[port] = run[m].wid;
-        }
-        if (options_.impatient &&
-            port == options_.impatient_data_input) {
-          MaybeImpatient(tuple, port, run[m].wid, key);
-        }
-      }
-      Entry entry;
-      entry.tuple = std::move(tuple);  // page is ours: move, don't copy
-      // Table entries outlive the input page: promote arena-backed
-      // tuples into table-owned (heap) storage. Owned tuples (the
-      // source-fed common case) keep the zero-copy move.
-      entry.tuple.Promote();
-      entry.wid = run[m].wid;
-      entry.gated = run[m].gated;
-      entry.matched = run[m].matched;
-      own.push_back(std::move(entry));
-    }
-    g = h;
+    if (!Admit(port, tuple, wid_scratch_[i])) continue;
+    JoinAdmitted(port, tuple, wid_scratch_[i], hash_scratch_[i], &cursor);
   }
   return Status::OK();
 }
 
 Status SymmetricHashJoin::ProcessTuple(int port, const Tuple& tuple) {
-  if (input_guards_[static_cast<size_t>(port)].Blocks(tuple)) {
-    ++stats_.input_guard_drops;
-    return Status::OK();
-  }
-#ifndef NDEBUG
-  // Shard-routing tripwire: a mis-routed tuple would silently miss its
-  // join partner, so verify the Exchange's placement decision here.
-  if (options_.shard_count > 1) {
-    const std::vector<int>& route_keys =
-        port == 0 ? options_.left_keys : options_.right_keys;
-    assert(ShardOfRoutingHash(ShardRoutingHash(tuple, route_keys),
-                              options_.shard_count) ==
-           options_.shard_index);
-  }
-#endif
-  int64_t wid = WidOf(tuple, port);
-  if (options_.window_join && wid <= watermark_[port]) {
-    // Straggler past its window's punctuation: nothing to join with.
-    return Status::OK();
-  }
-  uint64_t key = KeyHash(tuple, port, wid);
-
-  // Adaptive gate: a failed left tuple neither probes nor is probed;
-  // it still emits as an outer row at window close. Its failure is the
-  // discovery of a processing opportunity on the right branch.
-  bool gated = false;
-  if (port == 0 && options_.left_gate && !options_.left_gate(tuple)) {
-    gated = true;
-    if (options_.gate_feedback_horizon > 0 && options_.window_join) {
-      SendGateFeedback(tuple, wid, key);
-    }
-  }
-
-  // Probe the other side. Equal hashes are not enough: each candidate
-  // must pass the wid check and value equality on the key subset.
-  const std::vector<int>& my_keys =
-      port == 0 ? options_.left_keys : options_.right_keys;
-  const std::vector<int>& other_keys =
-      port == 0 ? options_.right_keys : options_.left_keys;
-  int other = 1 - port;
-  auto it = tables_[other].find(key);
-  bool matched_now = false;
-  if (!gated && it != tables_[other].end()) {
-    for (Entry& e : it->second) {
-      if (port == 1 && e.gated) continue;  // right probe skips gated
-      if (e.wid != wid ||
-          !tuple.EqualsSubset(e.tuple, my_keys, other_keys)) {
-        continue;  // hash collision: not actually the same key
-      }
-      e.matched = true;
-      matched_now = true;
-      if (port == 0) {
-        EmitJoinedPair(tuple, &e.tuple);
-      } else {
-        EmitJoinedPair(e.tuple, &tuple);
-      }
-    }
-  }
-  // Insert into own table.
-  Entry entry;
-  entry.tuple = tuple;
-  entry.wid = wid;
-  entry.gated = gated;
-  entry.matched = matched_now;
-  tables_[port][key].push_back(std::move(entry));
-
-  if (options_.window_join) {
-    ++window_counts_[port][wid];
-    if (wid < min_seen_wid_[port]) min_seen_wid_[port] = wid;
-    if (options_.impatient && port == options_.impatient_data_input) {
-      MaybeImpatient(tuple, port, wid, key);
-    }
-  }
+  const int64_t wid = WidOf(tuple, port);
+  if (!Admit(port, tuple, wid)) return Status::OK();
+  SlabCursor cursor;
+  JoinAdmitted(port, tuple, wid, KeyHash(tuple, port, wid), &cursor);
   return Status::OK();
 }
 
@@ -833,27 +521,16 @@ void SymmetricHashJoin::SendGateFeedback(const Tuple& t, int64_t wid,
 
 void SymmetricHashJoin::PurgeWindowsThrough(int side, int64_t wid,
                                             bool emit_outer) {
-  Table& table = tables_[side];
-  for (auto it = table.begin(); it != table.end();) {
-    std::vector<Entry>& entries = it->second;
-    std::vector<Entry> kept;
-    for (Entry& e : entries) {
-      if (e.wid > wid) {
-        kept.push_back(std::move(e));
-        continue;
+  // Whole slabs go at once; unmatched left entries emit their outer
+  // tuple first, window by window in insertion order.
+  state_[side].PurgeThrough(wid, [&](JoinSlab& slab) {
+    if (emit_outer) {
+      for (const Entry& e : slab.entries()) {
+        if (!e.matched) EmitJoinedPair(e.tuple, /*right=*/nullptr);
       }
-      if (emit_outer && !e.matched) {
-        EmitJoinedPair(e.tuple, /*right=*/nullptr);
-      }
-      ++stats_.state_purged;
     }
-    if (kept.empty()) {
-      it = table.erase(it);
-    } else {
-      it->second = std::move(kept);
-      ++it;
-    }
-  }
+    stats_.state_purged += slab.size();
+  });
   // NOTE: window_counts_ are NOT erased here. They are reclaimed only
   // when their own side's punctuation passes (ProcessPunctuation):
   // the thrifty check needs the probe side's counts to survive until
@@ -957,24 +634,25 @@ Status SymmetricHashJoin::ProcessPunctuation(int port,
 
 Status SymmetricHashJoin::OnAllInputsEos() {
   if (options_.left_outer) {
-    // Remaining unmatched left tuples emit with NULL right attributes.
+    // Remaining unmatched left tuples emit with NULL right attributes,
+    // window by window, by tuple id within a window.
     std::vector<const Entry*> unmatched;
-    for (const auto& [key, entries] : tables_[0]) {
-      for (const Entry& e : entries) {
+    for (const std::unique_ptr<JoinSlab>& slab : state_[0].slabs()) {
+      unmatched.clear();
+      for (const Entry& e : slab->entries()) {
         if (!e.matched) unmatched.push_back(&e);
       }
-    }
-    std::sort(unmatched.begin(), unmatched.end(),
-              [](const Entry* a, const Entry* b) {
-                if (a->wid != b->wid) return a->wid < b->wid;
-                return a->tuple.id() < b->tuple.id();
-              });
-    for (const Entry* e : unmatched) {
-      EmitJoinedPair(e->tuple, /*right=*/nullptr);
+      std::stable_sort(unmatched.begin(), unmatched.end(),
+                       [](const Entry* a, const Entry* b) {
+                         return a->tuple.id() < b->tuple.id();
+                       });
+      for (const Entry* e : unmatched) {
+        EmitJoinedPair(e->tuple, /*right=*/nullptr);
+      }
     }
   }
-  tables_[0].clear();
-  tables_[1].clear();
+  state_[0].Clear();
+  state_[1].Clear();
   FlushOutput();  // final results precede the EOS markers
   return Operator::OnAllInputsEos();
 }
@@ -993,31 +671,21 @@ Status SymmetricHashJoin::HandleAssumed(const FeedbackPunctuation& fb) {
     if (!derived.ok()) continue;
     exploited = true;
     // Table 2 local exploit: purge matching entries from this side's
-    // hash table and guard the input. The compilation is shared via
-    // the global cache — sharded plans derive the identical pattern in
+    // slabs and guard the input. The compilation is shared via the
+    // global cache — sharded plans derive the identical pattern in
     // every shard, and upstream hops purge with it again.
     std::shared_ptr<const CompiledPattern> compiled_ptr =
         CompiledPatternCache::Global().Get(derived.value());
     const CompiledPattern& compiled = *compiled_ptr;
-    Table& table = tables_[input];
-    for (auto it = table.begin(); it != table.end();) {
-      std::vector<Entry>& entries = it->second;
-      size_t before = entries.size();
-      entries.erase(
-          std::remove_if(entries.begin(), entries.end(),
-                         [&](const Entry& e) {
-                           return compiled.Matches(e.tuple);
-                         }),
-          entries.end());
-      stats_.state_purged += before - entries.size();
-      if (entries.empty()) {
-        it = table.erase(it);
-      } else {
-        ++it;
-      }
+    for (const std::unique_ptr<JoinSlab>& slab : state_[input].slabs()) {
+      stats_.state_purged += slab->RemoveIf(
+          [&](const Entry& e) { return compiled.Matches(e.tuple); });
     }
     input_guards_[static_cast<size_t>(input)].Add(derived.value());
-    ctx()->PurgeInput(input, derived.value());
+    // Queued input tuples the purge drops are work avoided, as in
+    // MaybeThrifty and SendGateFeedback.
+    stats_.work_avoided +=
+        static_cast<uint64_t>(ctx()->PurgeInput(input, derived.value()));
     if (PolicyAtLeast(options_.feedback_policy,
                       FeedbackPolicy::kExploitAndPropagate)) {
       RelayFeedback(input,
@@ -1061,23 +729,10 @@ Status SymmetricHashJoin::ProcessFeedback(int,
 }
 
 size_t SymmetricHashJoin::table_size(int input) const {
-  size_t n = 0;
-  for (const auto& [key, entries] : tables_[input]) n += entries.size();
-  return n;
+  return state_[input].size();
 }
 
 namespace {
-
-// Canonical (sorted) key order for the unordered containers, so the
-// snapshot byte stream is independent of insertion history.
-template <typename Map>
-std::vector<uint64_t> SortedKeys(const Map& m) {
-  std::vector<uint64_t> keys;
-  keys.reserve(m.size());
-  for (const auto& kv : m) keys.push_back(kv.first);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
 
 std::vector<uint64_t> SortedSet(const std::unordered_set<uint64_t>& s) {
   std::vector<uint64_t> keys(s.begin(), s.end());
@@ -1090,18 +745,43 @@ std::vector<uint64_t> SortedSet(const std::unordered_set<uint64_t>& s) {
 Status SymmetricHashJoin::SnapshotState(SnapshotWriter* w) {
   NSTREAM_RETURN_NOT_OK(Operator::SnapshotState(w));
   for (int side = 0; side < 2; ++side) {
-    const Table& table = tables_[side];
-    w->WriteU32(static_cast<uint32_t>(table.size()));
-    for (uint64_t key : SortedKeys(table)) {
-      const std::vector<Entry>& entries = table.at(key);
-      w->WriteU64(key);
-      w->WriteU32(static_cast<uint32_t>(entries.size()));
-      for (const Entry& e : entries) {
-        w->WriteTuple(e.tuple);
-        w->WriteI64(e.wid);
-        w->WriteBool(e.matched);
-        w->WriteBool(e.gated);
+    // Entries grouped by key hash ascending; within a hash, by window
+    // then insertion order.
+    struct Stored {
+      const Entry* entry;
+      int64_t wid;
+    };
+    std::vector<Stored> order;
+    order.reserve(state_[side].size());
+    for (const std::unique_ptr<JoinSlab>& slab : state_[side].slabs()) {
+      for (const Entry& e : slab->entries()) {
+        order.push_back({&e, slab->wid()});
       }
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [](const Stored& a, const Stored& b) {
+                       return a.entry->key < b.entry->key;
+                     });
+    uint32_t groups = 0;
+    for (size_t i = 0; i < order.size(); ++i) {
+      if (i == 0 || order[i].entry->key != order[i - 1].entry->key) {
+        ++groups;
+      }
+    }
+    w->WriteU32(groups);
+    for (size_t g = 0; g < order.size();) {
+      const uint64_t key = order[g].entry->key;
+      size_t h = g + 1;
+      while (h < order.size() && order[h].entry->key == key) ++h;
+      w->WriteU64(key);
+      w->WriteU32(static_cast<uint32_t>(h - g));
+      for (size_t i = g; i < h; ++i) {
+        w->WriteTuple(order[i].entry->tuple);
+        w->WriteI64(order[i].wid);
+        w->WriteBool(order[i].entry->matched);
+        w->WriteBool(order[i].entry->gated);
+      }
+      g = h;
     }
     w->WriteGuardSet(input_guards_[side]);
     w->WriteU32(static_cast<uint32_t>(window_counts_[side].size()));
@@ -1134,25 +814,26 @@ Status SymmetricHashJoin::SnapshotState(SnapshotWriter* w) {
 Status SymmetricHashJoin::RestoreState(SnapshotReader* r) {
   NSTREAM_RETURN_NOT_OK(Operator::RestoreState(r));
   for (int side = 0; side < 2; ++side) {
-    Table& table = tables_[side];
-    table.clear();
+    state_[side].Clear();
     uint32_t nkeys = 0;
     NSTREAM_RETURN_NOT_OK(r->ReadU32(&nkeys));
-    table.reserve(nkeys);
     for (uint32_t i = 0; i < nkeys; ++i) {
       uint64_t key = 0;
       uint32_t nentries = 0;
       NSTREAM_RETURN_NOT_OK(r->ReadU64(&key));
       NSTREAM_RETURN_NOT_OK(r->ReadU32(&nentries));
-      std::vector<Entry>& entries = table[key];
-      entries.reserve(nentries);
       for (uint32_t j = 0; j < nentries; ++j) {
-        Entry e;
-        NSTREAM_RETURN_NOT_OK(r->ReadTuple(&e.tuple));
-        NSTREAM_RETURN_NOT_OK(r->ReadI64(&e.wid));
-        NSTREAM_RETURN_NOT_OK(r->ReadBool(&e.matched));
-        NSTREAM_RETURN_NOT_OK(r->ReadBool(&e.gated));
-        entries.push_back(std::move(e));
+        Tuple t;
+        int64_t wid = 0;
+        bool matched = false;
+        bool gated = false;
+        NSTREAM_RETURN_NOT_OK(r->ReadTuple(&t));
+        NSTREAM_RETURN_NOT_OK(r->ReadI64(&wid));
+        NSTREAM_RETURN_NOT_OK(r->ReadBool(&matched));
+        NSTREAM_RETURN_NOT_OK(r->ReadBool(&gated));
+        Entry& e = state_[side].FindOrCreate(wid).Insert(key, std::move(t));
+        e.matched = matched;
+        e.gated = gated;
       }
     }
     NSTREAM_RETURN_NOT_OK(r->ReadGuardSet(&input_guards_[side]));

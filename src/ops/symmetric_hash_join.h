@@ -25,7 +25,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -33,39 +32,10 @@
 #include "core/guards.h"
 #include "core/schema_map.h"
 #include "exec/operator.h"
+#include "ops/join_state.h"
 #include "ops/window.h"
 
 namespace nstream {
-
-/// How the page-at-a-time probe groups a tuple run (see
-/// JoinOptions::page_batched_probe).
-enum class ProbeGrouping : uint8_t {
-  // Stabilized sort by key hash: gathers scattered duplicates so each
-  // distinct key touches the tables once, at the price of the sort and
-  // scattered element access. Loses to the element walk on Table 2
-  // once arenas removed allocation (~0.73x) — kept for high-duplicate
-  // runs whose repeats are NOT adjacent, and for the A/B tests.
-  kSorted = 0,
-  // Sort-free adjacency grouping: a single fused walk in element
-  // order that memoizes the probe/insert buckets across CONSECUTIVE
-  // equal key hashes, and MOVES each tuple into the table. Bursty
-  // streams (sensor readings per segment, per-key batches) skip both
-  // hash-table lookups on every repeat; runs with no adjacent
-  // repeats still beat the element walk, because the walk's
-  // ProcessTuple copies every inserted tuple where this path moves
-  // it (~1.1x on Table 2, which has zero adjacent repeats —
-  // join.adjacent_probe_* vs join.element_probe_*). Output order
-  // matches the element walk exactly (no cross-key reordering).
-  kAdjacent,
-  // kAdjacent while the observed adjacent-duplicate density says the
-  // memoization pays, the plain element walk otherwise; density is
-  // re-sampled periodically so a stream that turns bursty is
-  // noticed. Measured strictly worse than kAdjacent as a default:
-  // the fused walk dominates the element walk even at zero duplicate
-  // density (the move-vs-copy insert), so falling back only forfeits
-  // that. Kept as an option and for the A/B suites.
-  kAdaptive,
-};
 
 struct JoinOptions {
   // Equi-join key attribute positions (parallel arrays).
@@ -98,7 +68,7 @@ struct JoinOptions {
   // Shard-parallel execution (set by MakePartitionedJoin): this
   // instance owns partition `shard_index` of `shard_count`, fed by an
   // Exchange that routes tuples by key-hash prefix. The join logic is
-  // unchanged — each shard's tables_[2] hold only its slice, with no
+  // unchanged — each shard's state_[2] hold only its slice, with no
   // locks shared between shards. Thrifty/gate feedback sent by a shard
   // is a claim about its *slice* only; it stays sound because it
   // travels to the Exchange, which exploits it as a per-output-port
@@ -112,36 +82,21 @@ struct JoinOptions {
   // Joined results staged per output page under page-driven executors
   // (one queue lock per page). Same knob family as
   // DataQueueOptions::page_size and ExchangeOptions::stage_page_size.
+  // An upper bound: columnar staging blocks are sized to the results
+  // recent pages held.
   int output_page_size = 256;
 
-  // Page-at-a-time probe: ProcessPage handles each run of tuples
-  // (between punctuation/EOS boundaries) with a grouped walk chosen
-  // by `probe_grouping`, and tuples MOVE from the page into the table
-  // instead of copying. Under kSorted the output interleaving across
-  // keys may differ from the element-wise walk (the result multiset
-  // is identical — join_batched_probe_test enforces it); kAdjacent /
-  // kAdaptive preserve element order exactly.
-  //
-  // History: the original sort-based grouping paid for itself while
-  // every result tuple cost a malloc, lost to the element walk
-  // (~0.73x) once the arena model landed, and was defaulted off. The
-  // sort-free adjacency grouping won batching back — move-inserts
-  // plus bucket memoization beat the element walk at every measured
-  // duplicate density, including zero — so the default is ON again
-  // with kAdjacent (bench_table2_join's sorted/adjacent/element and
-  // bursty rows carry the A/B).
+  // Page-at-a-time probe: ProcessPage walks each run of tuples
+  // (between punctuation/EOS boundaries) in element order, resolving
+  // both sides' window slabs once per run of consecutive tuples in the
+  // same window (the adjacency walk). Columnar input pages take the
+  // same walk over column-swept key hashes and window ids. Output order
+  // matches the element walk exactly; false selects the element walk
+  // (ProcessTuple per tuple), kept as the A/B reference.
   bool page_batched_probe = true;
-  ProbeGrouping probe_grouping = ProbeGrouping::kAdjacent;
-  // kAdaptive: take the grouped walk while the EWMA of the adjacent-
-  // duplicate fraction (admitted run items whose key hash equals the
-  // previous item's) stays at or above this; below it, walk runs
-  // element-wise and re-sample the density every
-  // `adaptive_resample_period` runs.
-  double adaptive_min_dup_fraction = 0.05;
-  int adaptive_resample_period = 16;
 
   // Test seam: replaces the (wid, key-subset) hash used for the join
-  // tables and feedback dedup sets. Forcing a constant here makes every
+  // state and feedback dedup sets. Forcing a constant here makes every
   // key collide, which exercises the collision-checked subset-equality
   // probe (hash equality must never be sufficient to join).
   std::function<uint64_t(const Tuple&, int port, int64_t wid)>
@@ -166,10 +121,9 @@ class SymmetricHashJoin final : public Operator {
   Status Open(ExecContext* ctx) override;
   Status ProcessTuple(int port, const Tuple& tuple) override;
   /// Page-at-a-time path: runs of tuples (between punctuation/EOS
-  /// boundaries) are probed grouped by key hash — one table lookup per
-  /// distinct key per side instead of per tuple — and inserted in
-  /// batches, moving each tuple out of the page. Joined results are
-  /// staged into an output page (one queue lock per page, not per
+  /// boundaries) take the adjacency walk, which resolves the window
+  /// slabs once per run of same-window tuples. Joined results
+  /// are staged into an output page (one queue lock per page, not per
   /// result) and flushed when the input page is fully processed, when
   /// punctuation is emitted (results never overtake it), and at EOS.
   /// With options_.page_batched_probe false this degrades to the
@@ -180,11 +134,12 @@ class SymmetricHashJoin final : public Operator {
   Status ProcessFeedback(int out_port,
                          const FeedbackPunctuation& fb) override;
 
-  /// Full join state: both hash tables (entries incl. matched/gated
-  /// flags for outer emission), guard sets, window bookkeeping,
-  /// feedback dedup sets, counters, and any staged-but-unflushed
-  /// output page. Unordered containers are written key-sorted so the
-  /// byte stream is canonical.
+  /// Full join state: both sides' entries (incl. matched/gated flags
+  /// for outer emission) grouped by key hash ascending, insertion order
+  /// within a window; guard sets, window bookkeeping, feedback dedup
+  /// sets, counters, and any staged-but-unflushed output page.
+  /// Unordered containers are written key-sorted so the byte stream is
+  /// canonical.
   Status SnapshotState(SnapshotWriter* w) override;
   Status RestoreState(SnapshotReader* r) override;
 
@@ -212,59 +167,42 @@ class SymmetricHashJoin final : public Operator {
   uint64_t impatient_feedbacks() const { return impatient_feedbacks_; }
   uint64_t gate_feedbacks() const { return gate_feedbacks_; }
   uint64_t joined_count() const { return joined_count_; }
-  /// kAdaptive probe introspection: the current adjacent-duplicate
-  /// density estimate (tests assert it tracks the stream's shape).
-  double adjacent_dup_ewma() const { return adj_dup_ewma_; }
 
  private:
-  struct Entry {
-    Tuple tuple;
-    int64_t wid = 0;
-    bool matched = false;
-    bool gated = false;  // failed the adaptive gate; outer-emits only
-  };
-  // Keyed by a 64-bit hash of (window id, join-key subset) — no string
-  // rendering, no per-probe allocation. Hash collisions are resolved by
-  // collision-checked subset equality at probe time (each bucket entry
-  // is verified with wid + EqualsSubset before it joins).
-  using Table = std::unordered_map<uint64_t, std::vector<Entry>>;
+  using Entry = JoinSlab::Entry;
 
-  // One prepared tuple of a batched-probe run (ProcessPage).
-  struct RunItem {
-    uint32_t elem = 0;  // index into the page's element vector
+  // The slabs a walk resolved for its last tuple; the next tuple in
+  // the same window reuses them.
+  struct SlabCursor {
+    bool valid = false;
     int64_t wid = 0;
-    uint64_t key = 0;
-    bool gated = false;
-    bool matched = false;
+    JoinSlab* probe = nullptr;  // the other side's slab, null when none
+    JoinSlab* own = nullptr;    // this side's, resolved at first insert
   };
 
   uint64_t KeyHash(const Tuple& t, int port, int64_t wid) const;
   int64_t WidOf(const Tuple& t, int port) const;
+  /// Input guards, the debug shard-routing tripwire, and the straggler
+  /// check: false when `tuple` (window `wid`) is dropped before it can
+  /// join.
+  bool Admit(int port, const Tuple& tuple, int64_t wid);
+  /// Joins one admitted tuple, shared by every walk: gate, probe,
+  /// window bookkeeping, insert into this side's slab (an rvalue tuple
+  /// is moved in when arenas are off).
+  template <typename TupleRef>
+  void JoinAdmitted(int port, TupleRef&& tuple, int64_t wid, uint64_t key,
+                    SlabCursor* cursor);
   /// Batched equivalent of ProcessTuple over elems[begin, end) (all
-  /// tuples); dispatches on options_.probe_grouping. Must stay
-  /// semantically aligned with ProcessTuple — the randomized
-  /// equivalence test compares the paths directly.
+  /// tuples): the adjacency walk in element order, tuples copied from
+  /// the page into the slab arena. Must stay semantically aligned with
+  /// ProcessTuple — the randomized equivalence and differential suites
+  /// compare the paths directly.
   Status ProcessTupleRun(int port, std::vector<StreamElement>& elems,
                          size_t begin, size_t end, TimeMs* tick);
-  /// kSorted: stage + sort by key hash, one probe/insert lookup per
-  /// distinct key in the run.
-  Status ProcessSortedRun(int port, std::vector<StreamElement>& elems,
-                          size_t begin, size_t end, TimeMs* tick);
-  /// kAdjacent: fused single pass in element order, probe/insert
-  /// buckets memoized across consecutive equal key hashes. Also the
-  /// kAdaptive sampling pass (it measures density as it walks).
-  Status ProcessAdjacentRun(int port, std::vector<StreamElement>& elems,
-                            size_t begin, size_t end, TimeMs* tick);
-  /// Element-wise walk of a run (kAdaptive's low-density path):
-  /// ProcessTuple per element, with the page walk's stats/tick
-  /// charges.
-  Status ProcessRunElementwise(int port,
-                               std::vector<StreamElement>& elems,
-                               size_t begin, size_t end, TimeMs* tick);
-  /// Columnar-input fast path (kAdjacent grouping only): key hashes
-  /// and window ids precompute column-at-a-time over the block's
-  /// contiguous columns (type dispatch hoisted per column), then the
-  /// adjacency-memoized walk runs over a reused aliased row view.
+  /// Columnar-input fast path: key hashes and window ids precompute
+  /// column-at-a-time over the block's contiguous columns (type
+  /// dispatch hoisted per column), then the adjacency walk runs over a
+  /// reused aliased row view.
   Status ProcessColumnarPage(int port, Page&& page, TimeMs* tick);
   /// Arena for result construction: the staging page's arena when
   /// results are paged, null (owned fallback) otherwise.
@@ -285,6 +223,11 @@ class SymmetricHashJoin final : public Operator {
   ColumnarBlock* StagedColumnar();
   void EmitJoined(Tuple out);
   void FlushOutput();
+  /// Probes `tuple` (admitted on `port`, hash `key`) against `probe`,
+  /// the other side's slab for its window (null when there is none),
+  /// emitting every match; returns whether any entry matched.
+  bool ProbeSlab(JoinSlab* probe, int port, const Tuple& tuple,
+                 uint64_t key);
   void PurgeWindowsThrough(int side, int64_t wid, bool emit_outer);
   void MaybeThrifty(int64_t through_wid);
   void MaybeImpatient(const Tuple& t, int port, int64_t wid,
@@ -303,24 +246,18 @@ class SymmetricHashJoin final : public Operator {
   // EmitJoined) per emitted result.
   bool paged_emission_ = false;
 
-  Table tables_[2];
+  // Per-input join state, one slab per open window.
+  JoinSideState state_[2];
   GuardSet input_guards_[2];
   GuardSet output_guards_;
   // Joined-result staging for page-granular emission (ProcessPage).
   Page out_staged_;
-  // Scratch for the batched probe's sort-by-key pass (reused across
-  // pages to keep the hot path allocation-free once warm).
-  std::vector<RunItem> run_scratch_;
+  // Rows the next columnar staging block is sized for (StagedColumnar).
+  uint32_t stage_rows_hint_ = 0;
   // Columnar-input scratch: per-selected-row window ids and key
   // hashes, filled by contiguous column sweeps before the probe walk.
   std::vector<int64_t> wid_scratch_;
   std::vector<uint64_t> hash_scratch_;
-  // kAdaptive probe state: EWMA of the adjacent-duplicate fraction
-  // observed by grouped runs, and how many element-wise runs have
-  // passed since the density was last sampled. Initialized so the
-  // very first run samples.
-  double adj_dup_ewma_ = 0.0;
-  int runs_since_dup_sample_ = 1 << 20;
 
   // Per-input window bookkeeping (window_join only).
   std::map<int64_t, uint64_t> window_counts_[2];
@@ -329,7 +266,7 @@ class SymmetricHashJoin final : public Operator {
   int64_t emitted_punct_through_ = INT64_MIN;
   int64_t thrifty_checked_through_ = INT64_MIN;
   // Feedback rate-limit sets, keyed by the same (wid, key) hash as the
-  // tables. A hash collision here can only suppress a redundant
+  // join state. A hash collision here can only suppress a redundant
   // optimization hint (desired/assumed feedback), never affect join
   // correctness, so hash-only membership is sound.
   std::unordered_set<uint64_t> impatient_requested_;

@@ -230,19 +230,6 @@ class ColumnarBlock {
     return t;
   }
 
-  /// Gather a row into a self-contained OWNED tuple (borrowed strings
-  /// promote). For state that outlives the page: join table inserts.
-  Tuple GatherRowOwned(uint32_t row) const {
-    assert(row < rows_);
-    Tuple t(nullptr, cols_);
-    for (uint32_t c = 0; c < cols_; ++c) {
-      t.Append(col_data_[c][row]);
-    }
-    t.set_id(ids_[row]);
-    t.set_arrival_ms(arrivals_[row]);
-    return t;
-  }
-
   /// Debug check behind the wholesale page free: the block must be
   /// backed by the page's own arena and hold no owning values.
   bool ArenaInvariantHolds(const TupleArena* page_arena) const {

@@ -16,9 +16,10 @@
 // (its page) lives. Copies always deep-copy into OWNED mode, so
 // accidental escapes are safe; moves preserve the arena pointer, so
 // any path that moves a tuple out of its page into longer-lived state
-// must call Promote() (to owned storage — join tables do this) or
-// Rehome() (into the destination page's arena — queue/page staging
-// does this).
+// must copy it out (join state copies payloads into its per-window
+// slab arenas), call Promote() (to owned storage — a filter's tail
+// held past a punctuation does this) or Rehome() (into the
+// destination page's arena — queue/page staging does this).
 
 #ifndef NSTREAM_TYPES_TUPLE_H_
 #define NSTREAM_TYPES_TUPLE_H_
@@ -198,7 +199,8 @@ class Tuple {
 
   /// Arena → owned: deep-copy the values into heap storage this tuple
   /// owns. No-op in owned mode. Required before storing a tuple beyond
-  /// its page's lifetime (join tables, window state, collectors).
+  /// its page's lifetime (held filter tails, and join state when page
+  /// arenas are off).
   void Promote() {
     if (arena_ == nullptr) return;
     Value* old = data_;
@@ -356,41 +358,59 @@ static_assert(std::is_nothrow_move_constructible_v<Tuple>,
 
 /// Convenience builder used heavily in tests and workload generators:
 /// TupleBuilder().I64(3).D(51.2).Ts(9000).Build().
+///
+/// The first kInline values are staged in place and later ones spill
+/// to a vector, so Build() makes exactly one allocation, sized to the
+/// tuple, for up to kInline attributes (none for an empty tuple).
 class TupleBuilder {
  public:
-  TupleBuilder& Null() {
-    values_.push_back(Value::Null());
-    return *this;
-  }
-  TupleBuilder& B(bool v) {
-    values_.push_back(Value::Bool(v));
-    return *this;
-  }
-  TupleBuilder& I64(int64_t v) {
-    values_.push_back(Value::Int64(v));
-    return *this;
-  }
-  TupleBuilder& D(double v) {
-    values_.push_back(Value::Double(v));
-    return *this;
-  }
-  TupleBuilder& S(std::string v) {
-    values_.push_back(Value::String(std::move(v)));
-    return *this;
-  }
-  TupleBuilder& Ts(TimeMs v) {
-    values_.push_back(Value::Timestamp(v));
-    return *this;
-  }
+  static constexpr uint32_t kInline = 8;
+
+  TupleBuilder() = default;
+  ~TupleBuilder() { Clear(); }
+  TupleBuilder(const TupleBuilder&) = delete;
+  TupleBuilder& operator=(const TupleBuilder&) = delete;
+
+  TupleBuilder& Null() { return V(Value::Null()); }
+  TupleBuilder& B(bool v) { return V(Value::Bool(v)); }
+  TupleBuilder& I64(int64_t v) { return V(Value::Int64(v)); }
+  TupleBuilder& D(double v) { return V(Value::Double(v)); }
+  TupleBuilder& S(std::string v) { return V(Value::String(std::move(v))); }
+  TupleBuilder& Ts(TimeMs v) { return V(Value::Timestamp(v)); }
   TupleBuilder& V(Value v) {
-    values_.push_back(std::move(v));
+    if (staged_ < kInline) {
+      new (inline_values() + staged_) Value(std::move(v));
+      ++staged_;
+    } else {
+      spill_.push_back(std::move(v));
+    }
     return *this;
   }
 
-  Tuple Build() { return Tuple(std::move(values_)); }
+  /// The staged values as a tuple; the builder is empty afterwards.
+  Tuple Build() {
+    Tuple out(nullptr, staged_ + spill_.size());
+    for (uint32_t i = 0; i < staged_; ++i) {
+      out.Append(std::move(inline_values()[i]));
+    }
+    for (Value& v : spill_) out.Append(std::move(v));
+    Clear();
+    return out;
+  }
 
  private:
-  std::vector<Value> values_;
+  Value* inline_values() {
+    return std::launder(reinterpret_cast<Value*>(inline_));
+  }
+  void Clear() {
+    for (uint32_t i = 0; i < staged_; ++i) inline_values()[i].~Value();
+    staged_ = 0;
+    spill_.clear();
+  }
+
+  alignas(Value) unsigned char inline_[kInline * sizeof(Value)];
+  uint32_t staged_ = 0;
+  std::vector<Value> spill_;
 };
 
 }  // namespace nstream

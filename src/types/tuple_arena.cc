@@ -69,14 +69,16 @@ void* TupleArena::AllocateSlow(size_t bytes, size_t align) {
     used_ += bytes;
     return reinterpret_cast<void*>(aligned);
   }
-  std::unique_ptr<char[]> chunk = ChunkPool::Global().Get();
-  if (chunk == nullptr) {
-    // Default-init (no value-init): make_unique<char[]> would memset
-    // every chunk, charging each page ~a cache-line wipe per tuple.
-    chunk = std::unique_ptr<char[]>(new char[kChunkBytes]);
+  if (next_chunk_ == chunks_.size()) {
+    std::unique_ptr<char[]> chunk = ChunkPool::Global().Get();
+    if (chunk == nullptr) {
+      // Default-init (no value-init): make_unique<char[]> would memset
+      // every chunk, charging each page ~a cache-line wipe per tuple.
+      chunk = std::unique_ptr<char[]>(new char[kChunkBytes]);
+    }
+    chunks_.push_back(std::move(chunk));
   }
-  base = chunk.get();
-  chunks_.push_back(std::move(chunk));
+  base = chunks_[next_chunk_++].get();
   head_ = base;
   end_ = base + kChunkBytes;
 

@@ -89,8 +89,9 @@ class TupleArena {
   /// single digits per page.
   bool Owns(const char* p) const {
     std::less<const char*> lt;
-    for (const std::unique_ptr<char[]>& c : chunks_) {
-      if (!lt(p, c.get()) && lt(p, c.get() + kChunkBytes)) return true;
+    for (size_t i = 0; i < next_chunk_; ++i) {
+      const char* base = chunks_[i].get();
+      if (!lt(p, base) && lt(p, base + kChunkBytes)) return true;
     }
     for (size_t i = 0; i < big_chunks_.size(); ++i) {
       const char* base = big_chunks_[i].get();
@@ -99,17 +100,34 @@ class TupleArena {
     return false;
   }
 
+  /// Rewind to empty while KEEPING the standard chunks: the next
+  /// allocations reuse them in order, so an arena that is filled and
+  /// reset in a steady cycle (a join window slab) stops touching the
+  /// pool or the heap after its first cycle. Oversized blocks are
+  /// freed. Everything allocated before the reset is invalid after it.
+  void Reset() {
+    big_chunks_.clear();
+    big_sizes_.clear();
+    next_chunk_ = 0;
+    head_ = nullptr;
+    end_ = nullptr;
+    used_ = 0;
+  }
+
   /// Payload bytes handed out (excludes chunk slack).
   size_t bytes_used() const { return used_; }
-  size_t chunk_count() const { return chunks_.size() + big_chunks_.size(); }
+  /// Chunks in use (kept chunks a Reset() rewound are not counted).
+  size_t chunk_count() const { return next_chunk_ + big_chunks_.size(); }
 
  private:
   void* AllocateSlow(size_t bytes, size_t align);
 
   // Pooled fixed-size chunks (all kChunkBytes) and dedicated
   // oversized blocks (freed outright, never pooled; sizes tracked in
-  // parallel for Owns()).
+  // parallel for Owns()). chunks_[0, next_chunk_) are in use; the rest
+  // are kept from before a Reset() and reused before the pool is asked.
   std::vector<std::unique_ptr<char[]>> chunks_;
+  size_t next_chunk_ = 0;
   std::vector<std::unique_ptr<char[]>> big_chunks_;
   std::vector<size_t> big_sizes_;
   char* head_ = nullptr;

@@ -191,7 +191,7 @@ std::vector<Tuple> RandomJoinSide(std::mt19937* rng, int n,
 
 Rows RunJoin(const std::vector<Tuple>& left,
              const std::vector<Tuple>& right, bool left_outer,
-             bool collide, ProbeGrouping grouping, bool pooled) {
+             bool collide, bool batched, bool pooled) {
   QueryPlan plan;
   auto* l = plan.AddOp(std::make_unique<VectorSource>(
       "L", JoinSide(), AtMillis(left)));
@@ -211,7 +211,7 @@ Rows RunJoin(const std::vector<Tuple>& left,
   jopt.window_join = true;
   jopt.window = WindowSpec{10, 10};
   jopt.left_outer = left_outer;
-  jopt.probe_grouping = grouping;
+  jopt.page_batched_probe = batched;
   jopt.output_page_size = 8;  // several staged-page generations
   if (collide) {
     // Collision storm: the probe must re-establish key equality.
@@ -251,7 +251,7 @@ TEST(ColumnarEquivalenceTest, JoinAllLayoutConfigs) {
     Rows rows = AllConfigsAgree(
         [&] {
           return RunJoin(left, right, left_outer, /*collide=*/false,
-                         ProbeGrouping::kAdjacent, /*pooled=*/false);
+                         /*batched=*/true, /*pooled=*/false);
         },
         left_outer ? "join-outer" : "join-inner");
     EXPECT_GT(rows.size(), 0u);
@@ -273,33 +273,35 @@ TEST(ColumnarEquivalenceTest, JoinForcedHashCollisions) {
   std::vector<Tuple> left = RandomJoinSide(&rng, 120, "left");
   std::vector<Tuple> right = RandomJoinSide(&rng, 120, "right");
   Rows honest = RunJoin(left, right, false, /*collide=*/false,
-                        ProbeGrouping::kAdjacent, false);
+                        /*batched=*/true, false);
   Rows collided = AllConfigsAgree(
       [&] {
         return RunJoin(left, right, false, /*collide=*/true,
-                       ProbeGrouping::kAdjacent, false);
+                       /*batched=*/true, false);
       },
       "join-collide");
   EXPECT_EQ(honest, collided);
   EXPECT_GT(honest.size(), 0u);
 }
 
-TEST(ColumnarEquivalenceTest, JoinNonAdjacentGroupingsMaterialize) {
-  // kSorted / kAdaptive take the row path on columnar input (via
-  // EnsureRowLayout) — results must not depend on the layout.
+TEST(ColumnarEquivalenceTest, JoinElementWalkMatchesAdjacencyWalk) {
+  // The element walk (ProcessTuple per tuple, rows materialized from
+  // columnar input) and the adjacency walk (the column-sweep path on
+  // columnar input) must agree in every layout configuration.
   std::mt19937 rng(909090);
   std::vector<Tuple> left = RandomJoinSide(&rng, 100, "left");
   std::vector<Tuple> right = RandomJoinSide(&rng, 100, "right");
-  for (ProbeGrouping g :
-       {ProbeGrouping::kSorted, ProbeGrouping::kAdaptive}) {
-    Rows rows = AllConfigsAgree(
+  Rows by_walk[2];
+  for (bool batched : {false, true}) {
+    by_walk[batched] = AllConfigsAgree(
         [&] {
           return RunJoin(left, right, /*left_outer=*/true,
-                         /*collide=*/false, g, /*pooled=*/false);
+                         /*collide=*/false, batched, /*pooled=*/false);
         },
-        "join-grouping");
-    EXPECT_GT(rows.size(), 0u);
+        "join-walk");
+    EXPECT_GT(by_walk[batched].size(), 0u);
   }
+  EXPECT_EQ(by_walk[false], by_walk[true]);
 }
 
 TEST(ColumnarEquivalenceTest, JoinPooledExecutor) {
@@ -307,11 +309,11 @@ TEST(ColumnarEquivalenceTest, JoinPooledExecutor) {
   std::vector<Tuple> left = RandomJoinSide(&rng, 120, "left");
   std::vector<Tuple> right = RandomJoinSide(&rng, 120, "right");
   Rows sync_rows = RunJoin(left, right, true, false,
-                           ProbeGrouping::kAdjacent, /*pooled=*/false);
+                           /*batched=*/true, /*pooled=*/false);
   Rows pooled_rows = AllConfigsAgree(
       [&] {
         return RunJoin(left, right, true, false,
-                       ProbeGrouping::kAdjacent, /*pooled=*/true);
+                       /*batched=*/true, /*pooled=*/true);
       },
       "join-pooled");
   EXPECT_EQ(sync_rows, pooled_rows);

@@ -2,6 +2,7 @@
 
 #include "core/correctness.h"
 #include "ops/symmetric_hash_join.h"
+#include "stream/data_queue.h"
 #include "testing/test_util.h"
 
 namespace nstream {
@@ -182,6 +183,54 @@ TEST(JoinTest, FeedbackDirectInjection) {
       TupleBuilder().I64(49).I64(2).I64(3).I64(50).Build()));
   EXPECT_TRUE(join.output_guards().Blocks(
       TupleBuilder().I64(50).I64(2).I64(3).I64(50).Build()));
+}
+
+TEST(JoinTest, JoinAttrFeedbackChargesQueuedPurgesToWorkAvoided) {
+  // ¬[*,j,*] with tuples still queued on both inputs: the queue purge
+  // is work the join never does, charged to work_avoided exactly as the
+  // thrifty and gate feedback paths charge theirs.
+  SymmetricHashJoin join("join", BasicJoin());
+  ASSERT_TRUE(join.SetInputSchema(0, ASchema()).ok());
+  ASSERT_TRUE(join.SetInputSchema(1, BSchema()).ok());
+  ASSERT_TRUE(join.InferSchemas().ok());
+  class QueueCtx : public ExecContext {
+   public:
+    void EmitTuple(int, Tuple) override {}
+    void EmitPunct(int, Punctuation) override {}
+    void EmitEos(int) override {}
+    void EmitFeedback(int, FeedbackPunctuation) override {}
+    void EmitControl(int, ControlMessage) override {}
+    TimeMs NowMs() const override { return 0; }
+    void ChargeMs(double) override {}
+    int PurgeInput(int in_port, const PunctPattern& pattern) override {
+      return queues[in_port].PurgeMatching(pattern);
+    }
+    DataQueue queues[2];
+  };
+  QueueCtx ctx;
+  ASSERT_TRUE(join.Open(&ctx).ok());
+  for (int i = 0; i < 5; ++i) {
+    ctx.queues[0].PushTuple(TupleBuilder().I64(i).I64(3).I64(4).Build());
+  }
+  ctx.queues[0].PushTuple(TupleBuilder().I64(9).I64(3).I64(5).Build());
+  for (int i = 0; i < 3; ++i) {
+    ctx.queues[1].PushTuple(TupleBuilder().I64(3).I64(4).I64(i).Build());
+  }
+  ctx.queues[1].PushTuple(TupleBuilder().I64(8).I64(4).I64(0).Build());
+  ctx.queues[0].Flush();
+  ctx.queues[1].Flush();
+  // One stored entry matches too; it is state purged, not work avoided.
+  ASSERT_TRUE(
+      join.ProcessTuple(0, TupleBuilder().I64(1).I64(3).I64(4).Build())
+          .ok());
+
+  ASSERT_TRUE(join.ProcessControl(
+                     0, ControlMessage::Feedback(FB("~[*,3,4,*]")))
+                  .ok());
+  EXPECT_EQ(join.stats().work_avoided, 8u);
+  EXPECT_EQ(join.stats().state_purged, 1u);
+  EXPECT_EQ(ctx.queues[0].PurgeMatching(P("[*,*,*]")), 1);
+  EXPECT_EQ(ctx.queues[1].PurgeMatching(P("[*,*,*]")), 1);
 }
 
 TEST(JoinTest, ConservativeNoRetractionOnlyGuardsOutput) {

@@ -216,13 +216,15 @@ TEST(ColumnarBlockTest, ScratchFillRowAndGathers) {
                 b->column(2)[r].string_view().data());
     }
   }
-  // Owned gathers are self-contained: they survive the page.
+  // A copy of a gathered row is owned and self-contained: it survives
+  // the page.
   Tuple owned;
   std::string expect_payload;
   {
     Page scoped;
     ColumnarBlock* sb = FillBlock(&scoped, 4);
-    owned = sb->GatherRowOwned(2);
+    const Tuple aliased = sb->GatherRowAliased(2);
+    owned = aliased;  // copies deep-copy into owned storage
     expect_payload = std::string(sb->column(2)[2].string_view());
   }  // page + arena destroyed
   EXPECT_FALSE(owned.arena_backed());

@@ -37,6 +37,25 @@ TEST(TupleArenaTest, BumpAllocationAlignmentAndGrowth) {
   EXPECT_GE(arena.bytes_used(), 64u * 1024u);
 }
 
+TEST(TupleArenaTest, ResetReusesChunksInPlace) {
+  TupleArena arena;
+  std::vector<void*> first;
+  for (int i = 0; i < 40; ++i) first.push_back(arena.Allocate(1024, 8));
+  arena.Allocate(2 * TupleArena::kChunkBytes, 8);  // oversized block
+  const size_t chunks = arena.chunk_count();
+  ASSERT_GE(chunks, 4u);
+  arena.Reset();
+  EXPECT_EQ(arena.chunk_count(), 0u);
+  EXPECT_EQ(arena.bytes_used(), 0u);
+  EXPECT_FALSE(arena.Owns(static_cast<const char*>(first[0])));
+  // The same sequence lands on the same standard chunks, in order.
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(arena.Allocate(1024, 8), first[static_cast<size_t>(i)]);
+  }
+  EXPECT_EQ(arena.chunk_count(), chunks - 1);  // minus the oversized
+  EXPECT_TRUE(arena.Owns(static_cast<const char*>(first[0])));
+}
+
 TEST(TupleArenaTest, OversizedAllocationGetsDedicatedChunk) {
   TupleArena arena;
   void* big = arena.Allocate(2 * TupleArena::kChunkBytes, 8);
