@@ -14,9 +14,20 @@
 //                                  TCP serving edge with 4 concurrent
 //                                  producer connections fanned into one
 //                                  conduit (loopback sockets included);
-//   ingest.feedback_roundtrip_ns   engine-edge feedback loop: intent
-//                                  exploited + relayed by the source,
-//                                  decoded back on the client side.
+//   ingest.feedback_roundtrip_ns   in-process conduit feedback loop:
+//                                  intent exploited + relayed by the
+//                                  source, decoded back on the client
+//                                  side;
+//   ingest.acceptor_hello_ack_us   TCP loopback through TcpAcceptor: a
+//                                  producer's hello sent → the source's
+//                                  hello-ack decoded on that socket;
+//   ingest.acceptor_feedback_rtt_us  TCP loopback through TcpAcceptor:
+//                                  a routed feedback frame pushed onto
+//                                  the conduit → decoded on the
+//                                  producer socket.
+//
+// The two acceptor rows are recorded as the median with .p10, .p90 and
+// .n: their spread is the point.
 //
 // Throughput rows depend on how many CPUs the host exposes, so
 // ingest.online_cpus is recorded next to the batch for cross-box
@@ -24,12 +35,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -272,6 +285,90 @@ double MeasureFeedbackRoundTripNs(int reps) {
   return ElapsedNs(start) / static_cast<double>(reps);
 }
 
+// ---- hello-ack and feedback latency through the TCP acceptor -------
+
+/// Read `fd` until a whole frame of type `want` is at the front of
+/// `buf`; its payload is left in `*payload`. Other frames are skipped.
+void ReadFrameOfType(int fd, FrameType want, std::string* buf,
+                     std::string* payload) {
+  for (;;) {
+    FrameView f;
+    size_t consumed = 0;
+    NSTREAM_CHECK(ScanFrame(*buf, &f, &consumed).ok());
+    if (consumed > 0) {
+      const FrameType type = f.type;
+      payload->assign(f.payload);  // f views `buf`: copy before erasing
+      buf->erase(0, consumed);
+      if (type == want) return;
+      continue;
+    }
+    struct pollfd pfd = {fd, POLLIN, 0};
+    NSTREAM_CHECK(::poll(&pfd, 1, 5000) == 1);
+    char tmp[4096];
+    const ssize_t n = ::read(fd, tmp, sizeof(tmp));
+    if (n < 0 && errno == EINTR) continue;
+    NSTREAM_CHECK(n > 0);
+    buf->append(tmp, static_cast<size_t>(n));
+  }
+}
+
+struct AcceptorLatencyUs {
+  std::vector<double> hello_ack;
+  std::vector<double> feedback;
+};
+
+/// `conns` producers connect one after another to a served ingest
+/// query; each times its hello-ack, then `feedbacks` routed feedback
+/// frames, one in flight at a time.
+AcceptorLatencyUs MeasureAcceptorLatencyUs(int conns, int feedbacks) {
+  FrameConduit conduit;
+  TcpAcceptor acceptor(&conduit);
+  NSTREAM_CHECK(acceptor.Listen().ok());
+  auto plan = std::make_unique<QueryPlan>();
+  IngestSourceOptions sopts;
+  sopts.multi_producer = true;  // ends when the acceptor stops
+  auto* src = plan->AddOp(std::make_unique<IngestSource>(
+      "ingest", IngestSchema(), &conduit, sopts));
+  auto* sink = plan->AddOp(std::make_unique<CollectorSink>(
+      "sink", CollectorSinkOptions{.record_tuples = false}));
+  NSTREAM_CHECK(plan->Connect(*src, *sink).ok());
+  NSTREAM_CHECK(plan->Finalize().ok());
+  PooledExecutor exec(PooledExecutorOptions{});
+  Result<QueryId> id = exec.Submit(plan.get());
+  NSTREAM_CHECK(id.ok());
+
+  std::string fb_frame;
+  AppendFeedbackFrame(&fb_frame, FeedbackPunctuation::Assumed(
+                                     ParsePattern("[*,*,>=990]").value()));
+  AcceptorLatencyUs out;
+  for (int c = 0; c < conns; ++c) {
+    const uint64_t producer = static_cast<uint64_t>(c) + 1;
+    Result<int> fd = TcpConnectLoopback(acceptor.port());
+    NSTREAM_CHECK(fd.ok());
+    std::string hello;
+    AppendHelloFrame(&hello, 3, producer, 0);
+    std::string buf;
+    std::string payload;
+    auto t0 = std::chrono::steady_clock::now();
+    NSTREAM_CHECK(SendAllFd(fd.value(), hello));
+    ReadFrameOfType(fd.value(), FrameType::kHelloAck, &buf, &payload);
+    out.hello_ack.push_back(ElapsedNs(t0) * 1e-3);
+    for (int i = 0; i < feedbacks; ++i) {
+      t0 = std::chrono::steady_clock::now();
+      conduit.PushFeedbackFrameTo(producer, fb_frame);
+      ReadFrameOfType(fd.value(), FrameType::kFeedback, &buf, &payload);
+      FeedbackPunctuation got;
+      NSTREAM_CHECK(DecodeFeedback(payload, &got).ok());
+      benchmark::DoNotOptimize(got.is_assumed());
+      out.feedback.push_back(ElapsedNs(t0) * 1e-3);
+    }
+    ::close(fd.value());
+  }
+  acceptor.Stop();
+  NSTREAM_CHECK(exec.Wait(id.value()).ok());
+  return out;
+}
+
 // ---- google-benchmark registrations (bench-smoke coverage) ---------
 
 void BM_Ingest_ParseZeroCopy(benchmark::State& state) {
@@ -354,7 +451,11 @@ void RecordHotpathJson() {
     rt = std::min(rt, MeasureFeedbackRoundTripNs(256));
   }
 
-  benchjson::RecordAll({
+  // 100 connections: p90 of the hello-ack row has ten samples above it.
+  MeasureAcceptorLatencyUs(2, 4);  // warm-up
+  const AcceptorLatencyUs lat = MeasureAcceptorLatencyUs(100, 4);
+
+  std::map<std::string, double> rows = {
       {"ingest.parse_ns_per_tuple", best.zero_copy_ns_per_tuple},
       {"ingest.parse_ns_per_tuple_ref", best.ref_ns_per_tuple},
       {"ingest.parse_speedup",
@@ -364,7 +465,11 @@ void RecordHotpathJson() {
       {"ingest.feedback_roundtrip_ns", rt},
       {"ingest.online_cpus",
        static_cast<double>(std::thread::hardware_concurrency())},
-  });
+  };
+  benchjson::AddSamples(&rows, "ingest.acceptor_hello_ack_us", lat.hello_ack);
+  benchjson::AddSamples(&rows, "ingest.acceptor_feedback_rtt_us",
+                        lat.feedback);
+  benchjson::RecordAll(rows);
 }
 
 }  // namespace

@@ -9,12 +9,14 @@
 #ifndef NSTREAM_BENCH_BENCH_JSON_H_
 #define NSTREAM_BENCH_BENCH_JSON_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace nstream {
 namespace benchjson {
@@ -62,6 +64,22 @@ inline void RecordAll(const std::map<std::string, double>& updates) {
   out << "}\n";
   std::printf("[bench_json] wrote %zu metrics to %s\n", all.size(),
               path.c_str());
+}
+
+/// Adds `key` as the median of `samples` (nearest rank), plus
+/// `key.p10`, `key.p90` and `key.n`, to `rows` — for latencies whose
+/// spread matters as much as their centre.
+inline void AddSamples(std::map<std::string, double>* rows,
+                       const std::string& key, std::vector<double> samples) {
+  if (samples.empty()) return;
+  std::sort(samples.begin(), samples.end());
+  auto rank = [&samples](double q) {
+    return samples[static_cast<size_t>(q * (samples.size() - 1) + 0.5)];
+  };
+  (*rows)[key] = rank(0.5);
+  (*rows)[key + ".p10"] = rank(0.1);
+  (*rows)[key + ".p90"] = rank(0.9);
+  (*rows)[key + ".n"] = static_cast<double>(samples.size());
 }
 
 /// Wall-clock throughput of `body` (which performs `items_per_call`

@@ -154,7 +154,10 @@ class FrameConduit {
   }
   /// Routed flavor: target one producer (`producer` != 0) or all (0).
   void PushFeedbackFrameTo(uint64_t producer, std::string frame_bytes);
-  /// Fired when a feedback frame is queued (FdListener write pump).
+  /// Fired (outside the lock) when a feedback frame is queued —
+  /// routed feedback, hello-acks and engine-side errors alike. The
+  /// TcpAcceptor registers it to wake its serving thread; a copy may
+  /// still run after it is replaced, so it must own what it touches.
   void SetFeedbackNotifier(std::function<void()> fn);
   /// Feedback frames dropped to honor max_feedback_frames.
   uint64_t feedback_dropped() const;

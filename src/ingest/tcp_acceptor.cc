@@ -9,7 +9,9 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -29,7 +31,40 @@ bool SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
+
+// Frames are written whole, so nothing is gained by coalescing; a
+// small frame behind unacknowledged bytes would otherwise wait for the
+// peer's (possibly delayed) ACK.
+bool SetNoDelay(int fd) {
+  int one = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
+}
 }  // namespace
+
+class TcpAcceptor::WakeFd {
+ public:
+  WakeFd() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+  ~WakeFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  WakeFd(const WakeFd&) = delete;
+  WakeFd& operator=(const WakeFd&) = delete;
+
+  int fd() const { return fd_; }
+  // Non-blocking, so neither call sleeps; a full counter (EAGAIN on
+  // write) already means "wake up", so no signal is lost.
+  void Signal() {
+    const uint64_t one = 1;
+    [[maybe_unused]] ssize_t r = ::write(fd_, &one, sizeof(one));
+  }
+  void Drain() {
+    uint64_t n;
+    [[maybe_unused]] ssize_t r = ::read(fd_, &n, sizeof(n));
+  }
+
+ private:
+  const int fd_;
+};
 
 ssize_t NetIo::Read(int fd, char* buf, size_t n) {
   return ::read(fd, buf, n);
@@ -109,8 +144,17 @@ Status TcpAcceptor::Listen() {
     ::close(fd);
     return Status::Internal("acceptor: listen() failed");
   }
+  auto wake = std::make_shared<WakeFd>();
+  if (wake->fd() < 0) {
+    ::close(fd);
+    return Status::Internal("acceptor: eventfd() failed");
+  }
   listen_fd_ = fd;
   port_ = ntohs(addr.sin_port);
+  wake_ = std::move(wake);
+  // Routed feedback, hello-acks and engine-side errors all pass through
+  // PushFeedbackFrameTo: each one wakes the serving thread to send it.
+  conduit_->SetFeedbackNotifier([wake = wake_] { wake->Signal(); });
   stop_.store(false, std::memory_order_release);
   thread_ = std::thread([this] { Run(); });
   return Status::OK();
@@ -118,7 +162,12 @@ Status TcpAcceptor::Listen() {
 
 void TcpAcceptor::Stop() {
   stop_.store(true, std::memory_order_release);
+  if (wake_ != nullptr) wake_->Signal();
   if (thread_.joinable()) thread_.join();
+  if (wake_ != nullptr) {
+    conduit_->SetFeedbackNotifier(nullptr);
+    wake_.reset();
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -153,6 +202,7 @@ void TcpAcceptor::Run() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       pfds.push_back({listen_fd_, POLLIN, 0});
+      pfds.push_back({wake_->fd(), POLLIN, 0});
       polled_conns = conns_.size();
       for (const auto& c : conns_) {
         short ev = 0;
@@ -166,6 +216,9 @@ void TcpAcceptor::Run() {
     }
     int pr = ::poll(pfds.data(), pfds.size(), opts_.poll_interval_ms);
     if (pr < 0 && errno != EINTR) break;  // poll itself broken: give up
+    // Reset the wake before popping feedback below: a frame routed
+    // after this read signals again, so no wake is lost.
+    if ((pfds[1].revents & POLLIN) != 0) wake_->Drain();
 
     std::lock_guard<std::mutex> lock(mu_);
     const TimeMs now = clock_->NowMs();
@@ -188,7 +241,7 @@ void TcpAcceptor::Run() {
     std::vector<size_t> doomed;
     for (size_t i = 0; i < polled_conns && i < conns_.size(); ++i) {
       Conn* c = conns_[i].get();
-      const short re = pfds[i + 1].revents;
+      const short re = pfds[i + 2].revents;
       if ((re & (POLLIN | POLLHUP | POLLERR)) != 0 &&
           !c->close_after_flush) {
         if (!ServiceRead(c)) doomed.push_back(i);
@@ -229,7 +282,7 @@ void TcpAcceptor::AcceptNew() {
       return;  // EAGAIN or transient accept error: next round
     }
     if (static_cast<int>(conns_.size()) >= opts_.max_connections ||
-        !SetNonBlocking(fd)) {
+        !SetNonBlocking(fd) || !SetNoDelay(fd)) {
       ::close(fd);
       ++stats_.rejected;
       continue;
@@ -495,6 +548,10 @@ void TcpAcceptor::CloseConn(size_t idx) {
 Result<int> TcpConnectLoopback(int port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Status::Internal("connect: socket() failed");
+  if (!SetNoDelay(fd)) {
+    ::close(fd);
+    return Status::Internal("connect: TCP_NODELAY failed");
+  }
   struct sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;

@@ -69,7 +69,9 @@ class NetIo {
 struct TcpAcceptorOptions {
   /// Connections past this are accepted and immediately closed.
   int max_connections = 16;
-  /// poll(2) timeout — bounds feedback latency and Stop() response.
+  /// poll(2) timeout: paces the heartbeat, idle and shed timers and
+  /// the retry of a frame parked on the mux budget. Socket events,
+  /// routed feedback and Stop() wake the loop without waiting for it.
   int poll_interval_ms = 2;
   /// Send a kHeartbeat on each connection this often (0 = never).
   int64_t heartbeat_interval_ms = 0;
@@ -122,20 +124,23 @@ class TcpAcceptor {
   TcpAcceptor(const TcpAcceptor&) = delete;
   TcpAcceptor& operator=(const TcpAcceptor&) = delete;
 
-  /// Bind 127.0.0.1 on an ephemeral port, listen, start the serving
-  /// thread. port() is valid afterwards.
+  /// Bind 127.0.0.1 on an ephemeral port, listen, register the
+  /// conduit's feedback notifier, start the serving thread. port() is
+  /// valid afterwards. After Stop() the acceptor may listen again.
   Status Listen();
   int port() const { return port_; }
 
-  /// Close every connection and the listener, join the thread, and
-  /// close the conduit's write side (the source drains what was
-  /// forwarded, then ends). Idempotent; the destructor calls it.
+  /// Close every connection and the listener, join the thread,
+  /// unregister the feedback notifier, and close the conduit's write
+  /// side (the source drains what was forwarded, then ends).
+  /// Idempotent; the destructor calls it.
   void Stop();
 
   /// Thread-safe snapshot of counters + per-connection breakdown.
   AcceptorStats StatsReport() const;
 
  private:
+  class WakeFd;
   struct Conn {
     int fd = -1;
     uint64_t producer = 0;
@@ -186,6 +191,10 @@ class TcpAcceptor {
 
   int listen_fd_ = -1;
   int port_ = 0;
+  // Shared with the notifier registered on the conduit: a notify that
+  // races Stop() holds its own reference, so the eventfd it writes is
+  // closed only after the last such write.
+  std::shared_ptr<WakeFd> wake_;
   std::atomic<bool> stop_{false};
   std::thread thread_;
 
@@ -204,8 +213,8 @@ class TcpAcceptor {
   int shed_rounds_ = 0;
 };
 
-/// Test/bench helper: blocking connect to 127.0.0.1:`port`. The fd is
-/// the caller's to close.
+/// Test/bench helper: blocking connect to 127.0.0.1:`port`, with
+/// TCP_NODELAY set. The fd is the caller's to close.
 Result<int> TcpConnectLoopback(int port);
 
 }  // namespace nstream

@@ -3,14 +3,19 @@
 // the robustness contracts — per-connection quarantine (a corrupt
 // producer dies ALONE), session resume with engine-acknowledged
 // offsets, heartbeats + idle reclaim, shedding under pressure, and
-// the ReconnectBackoff policy producers pace retries with.
+// the ReconnectBackoff policy producers pace retries with — plus the
+// latency contracts: no Nagle hold on thin frames, and routed feedback,
+// hello-acks and Stop() that never wait for the poll interval.
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -489,6 +494,199 @@ TEST(TcpAcceptorTest, ShedAdviceReachesProducersUnderPressure) {
   AcceptorStats stats = acceptor.StatsReport();
   EXPECT_GE(stats.sheds_sent, 1u);
   EXPECT_GE(stats.backpressure_pauses, 1u);
+  ::close(fd.value());
+  acceptor.Stop();
+}
+
+using Clock = std::chrono::steady_clock;
+
+double MsSince(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+      .count();
+}
+
+/// Pop mux frames until one of type `want` comes out, or `deadline`.
+bool PopMuxFrameOfType(FrameConduit* conduit, FrameType want,
+                       Clock::time_point deadline) {
+  while (Clock::now() < deadline) {
+    std::optional<MuxFrame> m = conduit->TryPopMuxFrame();
+    if (!m.has_value()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      continue;
+    }
+    FrameView f;
+    size_t consumed = 0;
+    if (ScanFrame(m->bytes, &f, &consumed).ok() && f.type == want) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string FeedbackFrame() {
+  std::string out;
+  AppendFeedbackFrame(&out, testing_util::FB("~[*,*,>=500]"));
+  return out;
+}
+
+// A batch below the loopback MSS followed by a small punctuation is
+// the shape a thinned tick takes. With Nagle on, the punctuation waits
+// for the batch's ACK. Feedback flowing back to the producer, as it
+// does in a served query, puts the engine side's socket in interactive
+// (delayed-ACK) mode, so that ACK comes ~40 ms late.
+TEST(TcpAcceptorTest, ThinFramesAreNotHeldBehindUnackedBytes) {
+  FrameConduit conduit;
+  TcpAcceptor acceptor(&conduit);
+  ASSERT_TRUE(acceptor.Listen().ok());
+
+  Result<int> fd = TcpConnectLoopback(acceptor.port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(fd.value(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &len),
+            0);
+  EXPECT_EQ(nodelay, 1) << "TcpConnectLoopback must disable Nagle";
+
+  std::string hello;
+  AppendHelloFrame(&hello, 3, /*producer_id=*/1, 0);
+  WriteAllFd(fd.value(), hello);
+  ASSERT_TRUE(PopMuxFrameOfType(&conduit, FrameType::kHello,
+                                Clock::now() + std::chrono::seconds(10)));
+
+  std::vector<Tuple> tuples = testing_util::SequencedTuples(1, 1000, 5);
+  std::string batch;
+  for (size_t n = 64; batch.size() < 32 * 1024; n += 16) {
+    batch.clear();
+    AppendTupleBatchFrame(&batch, tuples.data(), n);
+  }
+  std::string punct;
+  AppendPunctuationFrame(&punct, Punctuation(testing_util::P("[<=5,*,*]")));
+
+  double worst_ms = 0;
+  for (int round = 0; round < 10; ++round) {
+    conduit.PushFeedbackFrameTo(1, FeedbackFrame());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    WriteAllFd(fd.value(), batch);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const Clock::time_point sent = Clock::now();
+    WriteAllFd(fd.value(), punct);
+    ASSERT_TRUE(PopMuxFrameOfType(&conduit, FrameType::kPunctuation,
+                                  sent + std::chrono::seconds(10)));
+    worst_ms = std::max(worst_ms, MsSince(sent));
+  }
+  EXPECT_LT(worst_ms, 20.0)
+      << "a small frame waited for the ACK of the batch before it";
+  ::close(fd.value());
+  acceptor.Stop();
+}
+
+// With a 1 s poll interval and an idle producer, only the conduit's
+// feedback wake can make the hello-ack and a routed feedback frame
+// leave promptly, and only the Stop() wake can end the loop early.
+TEST(TcpAcceptorTest, FeedbackAcksAndStopDoNotWaitForPollInterval) {
+  FrameConduit conduit;
+  TcpAcceptorOptions aopts;
+  aopts.poll_interval_ms = 1000;
+  TcpAcceptor acceptor(&conduit, aopts);
+  ASSERT_TRUE(acceptor.Listen().ok());
+
+  IngestSourceOptions sopts;
+  sopts.multi_producer = true;  // ends when the acceptor stops
+  auto p = MakeIngestPlan(&conduit, sopts);
+  PooledExecutorOptions eopts;
+  eopts.pool_size = 2;
+  PooledExecutor exec(eopts);
+  Result<QueryId> id = exec.Submit(p.plan.get());
+  ASSERT_TRUE(id.ok());
+
+  Result<int> fd = TcpConnectLoopback(acceptor.port());
+  ASSERT_TRUE(fd.ok());
+  std::string hello;
+  AppendHelloFrame(&hello, 3, /*producer_id=*/7, 0);
+  FrameType got = FrameType::kEos;
+  std::string payload;
+  std::string rbuf;
+
+  Clock::time_point t0 = Clock::now();
+  WriteAllFd(fd.value(), hello);
+  ASSERT_TRUE(ReadFrameOfType(fd.value(), {FrameType::kHelloAck}, &got,
+                              &payload, t0 + std::chrono::seconds(10),
+                              &rbuf));
+  EXPECT_LT(MsSince(t0), 100.0) << "hello-ack waited for the poll timeout";
+
+  t0 = Clock::now();
+  conduit.PushFeedbackFrameTo(7, FeedbackFrame());
+  ASSERT_TRUE(ReadFrameOfType(fd.value(), {FrameType::kFeedback}, &got,
+                              &payload, t0 + std::chrono::seconds(10),
+                              &rbuf));
+  EXPECT_LT(MsSince(t0), 100.0) << "feedback waited for the poll timeout";
+
+  t0 = Clock::now();
+  acceptor.Stop();
+  EXPECT_LT(MsSince(t0), 100.0) << "Stop() waited for the poll timeout";
+  ::close(fd.value());
+  ASSERT_TRUE(exec.Wait(id.value()).ok());
+}
+
+// The conduit outlives the acceptor and may be pushed to from any
+// thread: a notify racing Stop(), or arriving after the acceptor is
+// gone, must touch nothing the acceptor freed or closed (ASan job).
+TEST(TcpAcceptorTest, FeedbackAfterStopOrDestructionIsHarmless) {
+  FrameConduit conduit;
+  const std::string fb = FeedbackFrame();
+  {
+    TcpAcceptor acceptor(&conduit);
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      ASSERT_TRUE(acceptor.Listen().ok());
+      std::atomic<bool> done{false};
+      std::thread pusher([&] {
+        while (!done.load(std::memory_order_acquire)) {
+          conduit.PushFeedbackFrameTo(1, fb);
+        }
+      });
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      acceptor.Stop();
+      conduit.PushFeedbackFrameTo(1, fb);
+      done.store(true, std::memory_order_release);
+      pusher.join();
+    }
+  }
+  conduit.PushFeedbackFrameTo(1, fb);
+  conduit.PushFeedbackFrame(fb);
+  EXPECT_TRUE(conduit.TryPopRoutedFeedback().has_value());
+}
+
+// Listen() → Stop() → Listen(): the second session registers a new
+// wake, so feedback still leaves without waiting for the poll timeout.
+TEST(TcpAcceptorTest, RelistenRegistersAFreshWake) {
+  FrameConduit conduit;
+  TcpAcceptorOptions aopts;
+  aopts.poll_interval_ms = 1000;
+  TcpAcceptor acceptor(&conduit, aopts);
+  ASSERT_TRUE(acceptor.Listen().ok());
+  acceptor.Stop();
+  ASSERT_TRUE(acceptor.Listen().ok());
+
+  Result<int> fd = TcpConnectLoopback(acceptor.port());
+  ASSERT_TRUE(fd.ok());
+  std::string hello;
+  AppendHelloFrame(&hello, 3, /*producer_id=*/3, 0);
+  WriteAllFd(fd.value(), hello);
+  // The acceptor forwards the hello only after binding the producer id
+  // to this connection, so feedback pushed now has somewhere to go.
+  ASSERT_TRUE(PopMuxFrameOfType(&conduit, FrameType::kHello,
+                                Clock::now() + std::chrono::seconds(10)));
+
+  const Clock::time_point t0 = Clock::now();
+  conduit.PushFeedbackFrameTo(3, FeedbackFrame());
+  FrameType got = FrameType::kEos;
+  std::string payload;
+  std::string rbuf;
+  ASSERT_TRUE(ReadFrameOfType(fd.value(), {FrameType::kFeedback}, &got,
+                              &payload, t0 + std::chrono::seconds(10),
+                              &rbuf));
+  EXPECT_LT(MsSince(t0), 100.0) << "the re-listened acceptor lost its wake";
   ::close(fd.value());
   acceptor.Stop();
 }
