@@ -70,7 +70,7 @@ CaseResult RunCase(FeedbackPolicy scheme, TimeMs switch_minutes,
 int main(int argc, char** argv) {
   using namespace nstream;
 
-  // --quick runs 3 simulated hours instead of 18 (same shape, ~6x
+  // --quick runs 6 simulated hours instead of 18 (same shape, ~3x
   // faster); the default matches the paper.
   TimeMs duration_ms = 18LL * 3'600'000;
   for (int i = 1; i < argc; ++i) {

@@ -5,9 +5,16 @@
 //
 // Path: $NSTREAM_BENCH_JSON if set, else ./BENCH_hotpath.json (the
 // bench runner's working directory).
+//
+// Every write also stamps the meta.* rows: the writing box's online
+// CPUs, whether the bench was an optimised NDEBUG (Release) build, and
+// the compiler version, so a row can be read against the box and build
+// that last wrote the file.
 
 #ifndef NSTREAM_BENCH_BENCH_JSON_H_
 #define NSTREAM_BENCH_BENCH_JSON_H_
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -46,12 +53,42 @@ inline std::map<std::string, double> ReadExisting(
   return out;
 }
 
-/// Merge `updates` into the JSON file (existing keys not in `updates`
-/// are preserved).
+/// The box and build context rows RecordAll stamps on every write.
+inline std::map<std::string, double> MetaRows() {
+#if defined(NDEBUG) && defined(__OPTIMIZE__)
+  const double release = 1;
+#else
+  const double release = 0;
+#endif
+  // major·10000 + minor·100 + patch.
+#if defined(__clang__)
+  const double compiler = __clang_major__ * 10000 + __clang_minor__ * 100 +
+                          __clang_patchlevel__;
+  const double clang = 1;
+#elif defined(__GNUC__)
+  const double compiler =
+      __GNUC__ * 10000 + __GNUC_MINOR__ * 100 + __GNUC_PATCHLEVEL__;
+  const double clang = 0;
+#else
+  const double compiler = 0;
+  const double clang = 0;
+#endif
+  return {
+      {"meta.online_cpus",
+       static_cast<double>(sysconf(_SC_NPROCESSORS_ONLN))},
+      {"meta.release_build", release},
+      {"meta.compiler_version", compiler},
+      {"meta.compiler_is_clang", clang},
+  };
+}
+
+/// Merge `updates` and the meta.* rows into the JSON file (existing
+/// keys not in either are preserved).
 inline void RecordAll(const std::map<std::string, double>& updates) {
   std::string path = FilePath();
   std::map<std::string, double> all = ReadExisting(path);
   for (const auto& [k, v] : updates) all[k] = v;
+  for (const auto& [k, v] : MetaRows()) all[k] = v;
   std::ofstream out(path);
   out << "{\n";
   size_t i = 0;

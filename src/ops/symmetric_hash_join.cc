@@ -488,10 +488,7 @@ void SymmetricHashJoin::MaybeImpatient(const Tuple& t, int port,
   for (size_t k = 0; k < my_keys.size(); ++k) {
     p = p.With(other_keys[k], AttrPattern::Eq(t.value(my_keys[k])));
   }
-  p = p.With(other_ts,
-             AttrPattern::Range(
-                 Value::Timestamp(options_.window.WindowStart(wid)),
-                 Value::Timestamp(options_.window.WindowEnd(wid) - 1)));
+  p = p.With(other_ts, options_.window.TumblingTimestamps(wid, wid));
   ++impatient_feedbacks_;
   SendFeedback(other, FeedbackPunctuation::Desired(std::move(p)));
 }
@@ -509,10 +506,7 @@ void SymmetricHashJoin::SendGateFeedback(const Tuple& t, int64_t wid,
   }
   int64_t from = wid + 1;
   int64_t to = wid + options_.gate_feedback_horizon;
-  p = p.With(options_.right_ts,
-             AttrPattern::Range(
-                 Value::Timestamp(options_.window.WindowStart(from)),
-                 Value::Timestamp(options_.window.WindowEnd(to) - 1)));
+  p = p.With(options_.right_ts, options_.window.TumblingTimestamps(from, to));
   ++gate_feedbacks_;
   SendFeedback(1, FeedbackPunctuation::Assumed(p));
   stats_.work_avoided +=
@@ -560,10 +554,7 @@ void SymmetricHashJoin::MaybeThrifty(int64_t through_wid) {
     // never produce join output — tell its antecedents (§3.3).
     PunctPattern p = PunctPattern::AllWildcard(
         input_schema(other)->num_fields());
-    p = p.With(other_ts,
-               AttrPattern::Range(
-                   Value::Timestamp(options_.window.WindowStart(w)),
-                   Value::Timestamp(options_.window.WindowEnd(w) - 1)));
+    p = p.With(other_ts, options_.window.TumblingTimestamps(w, w));
     ++thrifty_feedbacks_;
     SendFeedback(other, FeedbackPunctuation::Assumed(p));
     stats_.work_avoided +=

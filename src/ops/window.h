@@ -38,6 +38,15 @@ struct WindowSpec {
   TimeMs WindowStart(int64_t w) const { return w * slide_ms; }
   TimeMs WindowEnd(int64_t w) const { return w * slide_ms + range_ms; }
 
+  /// Timestamp pattern of exactly the tuples in tumbling windows
+  /// `from`..`to`: [WindowStart(from), WindowEnd(to) − 1]. Under
+  /// sliding windows such a tuple may also feed windows outside the
+  /// span, so the pattern would not be sound for feedback there.
+  AttrPattern TumblingTimestamps(int64_t from, int64_t to) const {
+    return AttrPattern::Range(Value::Timestamp(WindowStart(from)),
+                              Value::Timestamp(WindowEnd(to) - 1));
+  }
+
   /// Largest window id fully covered by "all tuples with ts <= bound
   /// have been seen": window w is closable iff WindowEnd(w) <= bound+1,
   /// i.e. every tuple it could contain has timestamp <= bound.
@@ -53,16 +62,20 @@ struct WindowSpec {
   }
 };
 
-/// Map a constraint on the *window end* output attribute into a sound
+/// Map a constraint on the *window end* output attribute into an exact
 /// constraint on the input *timestamp* attribute, for upstream
-/// propagation. Soundness = never over-suppress: the returned pattern
-/// matches a tuple only if EVERY window that tuple contributes to is
-/// covered by the window-end constraint (Example 2's pitfall: with
-/// sliding windows a tuple belongs to several windows, so filtering at
-/// the bottom of the plan on a per-window basis is incorrect).
+/// propagation. Sound: the returned pattern matches a tuple only if
+/// EVERY window that tuple contributes to is covered by the window-end
+/// constraint (Example 2's pitfall: with sliding windows a tuple
+/// belongs to several windows, so filtering at the bottom of the plan
+/// on a per-window basis is incorrect). Tight: it matches every such
+/// tuple, for ≤, <, ≥, >, = and ranges, tumbling or sliding. (With
+/// hopping windows, range < slide, tuples between windows feed none;
+/// the pattern may or may not match them.)
 ///
-/// Returns Unsupported for shapes that cannot be mapped soundly
-/// (equality under sliding windows, ≠, ranges).
+/// Returns Unsupported for ≠ (no single timestamp pattern expresses
+/// it), for the NULL tests, and for constraints that no tuple
+/// satisfies (e.g. = W where W is not a window end).
 Result<AttrPattern> MapWindowEndToTimestamp(const AttrPattern& window_end,
                                             const WindowSpec& spec);
 

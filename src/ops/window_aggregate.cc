@@ -659,10 +659,7 @@ Status WindowAggregate::HandleAssumed(const PunctPattern& f) {
       PunctPattern up =
           PunctPattern::AllWildcard(input_schema(0)->num_fields());
       up = up.With(options_.ts_attr,
-                   AttrPattern::Range(
-                       Value::Timestamp(options_.window.WindowStart(key.wid)),
-                       Value::Timestamp(
-                           options_.window.WindowEnd(key.wid) - 1)));
+                   options_.window.TumblingTimestamps(key.wid, key.wid));
       for (int gi = 0; gi < num_groups_; ++gi) {
         up = up.With(options_.group_attrs[static_cast<size_t>(gi)],
                      AttrPattern::Eq(key.groups[static_cast<size_t>(gi)]));

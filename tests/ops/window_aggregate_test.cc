@@ -103,7 +103,9 @@ INSTANTIATE_TEST_SUITE_P(
                       WindowCase{5'000, 2'000},
                       WindowCase{60'000, 60'000}));
 
-TEST(WindowMapTest, EqualityOnlyForTumbling) {
+TEST(WindowMapTest, EqualityEmptyWhenEveryTupleSpansSeveralWindows) {
+  // Range 3 s, slide 1 s: every tuple feeds three windows with three
+  // different ends, so no tuple has all its windows ending at 3000.
   EXPECT_TRUE(MapWindowEndToTimestamp(
                   AttrPattern::Eq(Value::Timestamp(3'000)),
                   WindowSpec{3'000, 1'000})
